@@ -7,10 +7,14 @@ order.  Determinism matters more than speed here: inputs are sorted
 canonically, pairs are processed smallest-lcm first, and bases come out
 sorted by leading monomial.
 
-Colon ideals go through the classical tag-variable intersection trick;
-saturation iterates single-generator colons round-robin until the chain
-stabilizes.  Vector-space dimensions of quotients are staircase counts
-read off the reduced basis.
+Vector-space dimensions of quotients are staircase counts read off the
+reduced basis.  The length of the part of a zero-dimensional scheme on
+a locus is exact linear algebra on the multiplication matrices of the
+quotient ring over its staircase (Stetter's method; Cox, Little and
+O'Shea, *Using Algebraic Geometry*, ch. 2 and 4).  Colon ideals go
+through the classical tag-variable intersection trick; saturation
+iterates single-generator colons round-robin until the chain
+stabilizes.
 """
 
 from __future__ import annotations
@@ -18,6 +22,7 @@ from __future__ import annotations
 from fractions import Fraction
 from typing import Iterable, Sequence
 
+from . import linalg
 from .polynomials import (
     GREVLEX,
     BlockOrder,
@@ -339,12 +344,11 @@ def saturate(ideal: Ideal, other: Ideal) -> Ideal:
         current = step
 
 
-def quotient_dimension(ideal: Ideal):
-    """dim_Q of the quotient ring, or INFINITE.
+def _standard_monomials(ideal: Ideal):
+    """The staircase of the cached reduced basis in walk order, or None.
 
-    Counts the staircase of the cached reduced basis: monomials not
-    divisible by any leading monomial.  Finite exactly when every
-    variable appears as a pure power among the leads.
+    None means the staircase is infinite: some variable has no pure
+    power among the leading monomials.
     """
     cache = ideal.basis_cache
     if cache is None:
@@ -352,44 +356,16 @@ def quotient_dimension(ideal: Ideal):
     order, basis = cache
     n = ideal.nvars
     if not basis:
-        return 1 if n == 0 else INFINITE
+        return [()] if n == 0 else None
     leads = [g.lead_term(order)[0] for g in basis]
     if any(mono_deg(lm) == 0 for lm in leads):
-        return 0
+        return []
     bounds = []
     for i in range(n):
         pure = [lm[i] for lm in leads if all(k == 0 for j, k in enumerate(lm) if j != i)]
         if not pure:
-            return INFINITE
+            return None
         bounds.append(min(pure))
-    count = 0
-    stack = [(0,) * n]
-    seen = {(0,) * n}
-    while stack:
-        exps = stack.pop()
-        if any(mono_divides(lm, exps) for lm in leads):
-            continue
-        count += 1
-        for i in range(n):
-            if exps[i] + 1 < bounds[i]:
-                up = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-                if up not in seen:
-                    seen.add(up)
-                    stack.append(up)
-    return count
-
-
-def staircase(ideal: Ideal) -> list:
-    """The standard monomials of a zero-dimensional ideal, sorted."""
-    cache = ideal.basis_cache
-    if cache is None:
-        raise ValueError("ideal has no cached Groebner basis; call buchberger first")
-    order, basis = cache
-    dim = quotient_dimension(ideal)
-    if dim is INFINITE:
-        raise ValueError("staircase is infinite")
-    leads = [g.lead_term(order)[0] for g in basis]
-    n = ideal.nvars
     out = []
     stack = [(0,) * n]
     seen = {(0,) * n}
@@ -399,8 +375,55 @@ def staircase(ideal: Ideal) -> list:
             continue
         out.append(exps)
         for i in range(n):
-            up = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
-            if up not in seen:
-                seen.add(up)
-                stack.append(up)
-    return sorted(out, key=order.key)
+            if exps[i] + 1 < bounds[i]:
+                up = exps[:i] + (exps[i] + 1,) + exps[i + 1:]
+                if up not in seen:
+                    seen.add(up)
+                    stack.append(up)
+    return out
+
+
+def quotient_dimension(ideal: Ideal):
+    """dim_Q of the quotient ring, or INFINITE.
+
+    Counts the staircase of the cached reduced basis: monomials not
+    divisible by any leading monomial.  Finite exactly when every
+    variable appears as a pure power among the leads.
+    """
+    monos = _standard_monomials(ideal)
+    return INFINITE if monos is None else len(monos)
+
+
+def staircase(ideal: Ideal) -> list:
+    """The standard monomials of a zero-dimensional ideal, sorted."""
+    monos = _standard_monomials(ideal)
+    if monos is None:
+        raise ValueError("staircase is infinite")
+    return sorted(monos, key=ideal.basis_cache[0].key)
+
+
+def supported_length(ideal: Ideal, locus_polys: Sequence[MultiPoly]) -> int:
+    """Length of the part of V(ideal) supported on V(g_1, ..., g_r).
+
+    With B the staircase of a zero-dimensional ideal (D = |B|) and M_g
+    the matrix of "multiply by g, then take the normal form" on B, M_g^D
+    vanishes on the local factors of Q[x]/I at the zeros of g and is
+    invertible on the others.  The stacked [M_{g_1}^D; ...; M_{g_r}^D]
+    therefore has kernel the part supported on the locus, and its rank
+    is the length off it; each M_g^D enters through its row space, found
+    by `linalg.stable_row_space` without forming the power.  Points with
+    irrational coordinates count with full multiplicity.  An empty locus
+    gives D.
+    """
+    monos = staircase(ideal)
+    dim = len(monos)
+    position = {m: i for i, m in enumerate(monos)}
+    rows = []
+    for g in locus_polys:
+        matrix = [[0] * dim for _ in range(dim)]
+        for col, b in enumerate(monos):
+            image = normal_form(g * MultiPoly.monomial(ideal.nvars, b), ideal)
+            for e, c in image.terms.items():
+                matrix[position[e]][col] = c
+        rows += linalg.stable_row_space(matrix)
+    return dim - linalg.rank(rows)

@@ -8,9 +8,10 @@ restrictions to all strata through the point, with the convention that
 a zero-dimensional stratum contributes 1 when the point is singular.
 Points off the divisor take their plain Milnor number.
 
-Global totals never enumerate points: they are quotient dimensions of
-chart singular ideals, with saturation by the earlier chart coordinates
-removing the overlap between charts, so irrational singularities are
+Global totals never enumerate points: each chart contributes the length
+of its singular scheme on the vanishing of the earlier chart
+coordinates, read off the multiplication matrices of the chart's
+quotient ring (`supported_length`), so irrational singularities are
 counted with full multiplicity.
 """
 
@@ -33,7 +34,15 @@ from .foliations import (
     validate_arrangement,
     _form_vector,
 )
-from .groebner import INFINITE, Ideal, buchberger, divide, quotient_dimension, saturate
+from .groebner import (
+    INFINITE,
+    Ideal,
+    buchberger,
+    divide,
+    quotient_dimension,
+    saturate,
+    supported_length,
+)
 from .polynomials import GREVLEX, MultiPoly
 
 
@@ -110,7 +119,8 @@ def milnor_at_maximal_ideal(ideal: Ideal, locus: Ideal) -> int:
         raise ValueError("ideal is not zero-dimensional")
     away = saturate(ideal, locus)
     rest = quotient_dimension(away)
-    assert rest != INFINITE
+    if rest == INFINITE:
+        raise ValueError("saturation left a positive-dimensional ideal")
     return total - rest
 
 
@@ -132,7 +142,8 @@ def milnor_oracle(ideal: Ideal, point: Sequence, max_jet: int = 24) -> int:
                 g = g * shifts[i]
             gens.append(g)
         value = quotient_dimension(buchberger(gens, n))
-        assert value != INFINITE
+        if value == INFINITE:
+            raise ValueError("jet ideal is not zero-dimensional")
         if value == previous:
             return value
         previous = value
@@ -179,7 +190,9 @@ def log_index_at_point(fol: Foliation, arr: Arrangement,
                 total += sign  # point stratum; p is singular here
                 continue
             restricted, stratum = restrict_to_stratum(fol, arr, subset)
-            assert restricted is not None
+            if restricted is None:
+                raise InputError(POSITIVE_DIM_SING,
+                                 f"restriction to stratum {subset} vanishes")
             sp = RationalPoint(stratum.ambient_to_stratum(point.coords))
             total += sign * point_milnor(restricted, sp)
     return total
@@ -195,10 +208,6 @@ def hom_index_at_point(fol: Foliation, arr: Arrangement,
 
 # ------------------------------------------------------------- global sums
 
-def _chart_locus_ideal(fol: Foliation, j: int) -> Ideal:
-    return fol.singular_ideal(j)
-
-
 def _overlap_vars(n: int, j: int) -> list:
     # chart-j coordinates covering the ambient variables z_0..z_{j-1}
     return [MultiPoly.variable(n, i) for i in range(j)]
@@ -207,46 +216,35 @@ def _overlap_vars(n: int, j: int) -> list:
 def total_milnor(fol: Foliation) -> int:
     """Sum of all Milnor numbers of the foliation, multiplicity included.
 
-    Chart by chart, the singular scheme dimension minus the part already
-    seen in earlier charts (components along the vanishing of the
-    earlier coordinates, removed by saturation).  For a valid foliation
-    of degree d on P^n this totals sum_{i<=n} d^i.
+    Chart j contributes the length of its singular scheme supported on
+    the vanishing of the earlier coordinates x_0..x_{j-1}, the points no
+    earlier chart sees; `Foliation` already rejects charts whose
+    singular scheme has positive dimension.  For a valid foliation of
+    degree d on P^n this totals sum_{i<=n} d^i.
+    """
+    n = fol.n
+    return sum(supported_length(fol.singular_ideal(j), _overlap_vars(n, j))
+               for j in range(n + 1))
+
+
+def complement_milnor_sum(fol: Foliation, arr: Arrangement) -> int:
+    """Total Milnor number of the singularities off the arrangement.
+
+    Chart j contributes its length on the chart's own locus minus the
+    part of that which also lies on some hyperplane.
     """
     n = fol.n
     total = 0
     for j in range(n + 1):
-        ideal = _chart_locus_ideal(fol, j)
-        full = quotient_dimension(ideal)
-        if full == INFINITE:
-            raise InputError(POSITIVE_DIM_SING,
-                             f"singular scheme has positive dimension in chart {j}")
-        if j == 0:
-            total += full
-            continue
-        fresh = saturate(ideal, Ideal(n, _overlap_vars(n, j)))
-        total += full - quotient_dimension(fresh)
-    return total
-
-
-def complement_milnor_sum(fol: Foliation, arr: Arrangement) -> int:
-    """Total Milnor number of the singularities off the arrangement."""
-    n = fol.n
-    total = 0
-    for j in range(n + 1):
-        ideal = _chart_locus_ideal(fol, j)
+        ideal = fol.singular_ideal(j)
         product = MultiPoly.constant(n, 1)
         for f in arr.forms:
             product = product * f.dehomogenize(j)
         if product.is_zero():
             raise ValueError("arrangement contains the zero form")
-        off = saturate(ideal, Ideal(n, [product]))
-        full = quotient_dimension(off)
-        assert full != INFINITE
-        if j == 0:
-            total += full
-            continue
-        fresh = saturate(off, Ideal(n, _overlap_vars(n, j)))
-        total += full - quotient_dimension(fresh)
+        overlap = _overlap_vars(n, j)
+        total += (supported_length(ideal, overlap)
+                  - supported_length(ideal, overlap + [product]))
     return total
 
 
@@ -263,7 +261,9 @@ class StratumTotal:
 def _point_stratum_point(arr: Arrangement, indices) -> RationalPoint:
     vectors = [_form_vector(arr.forms[i]) for i in indices]
     kernel = linalg.nullspace(vectors)
-    assert len(kernel) == 1
+    if len(kernel) != 1:
+        raise InputError(NC_VIOLATION,
+                         f"hyperplanes {indices} do not meet transversally")
     return RationalPoint(kernel[0])
 
 
@@ -313,12 +313,6 @@ def germ_milnor(components: Sequence[MultiPoly], point: Sequence) -> int:
     return milnor_at_point(ideal, [Fraction(c) for c in point])
 
 
-def _linear_part(form: MultiPoly) -> list:
-    n = form.nvars
-    return [form.coefficient(tuple(1 if j == i else 0 for j in range(n)))
-            for i in range(n)]
-
-
 def germ_log_index(components: Sequence[MultiPoly], forms: Sequence[MultiPoly],
                    point: Sequence) -> int:
     """Logarithmic index of an affine germ along a union of hyperplanes.
@@ -338,7 +332,7 @@ def germ_log_index(components: Sequence[MultiPoly], forms: Sequence[MultiPoly],
             through.append(f)
     for f in through:
         along = MultiPoly.zero(n)
-        for a, v in zip(_linear_part(f), components):
+        for a, v in zip(_form_vector(f), components):
             if a:
                 along = along + v * a
         if not (along.is_zero() or divide(along, [f], GREVLEX)[1].is_zero()):
@@ -367,7 +361,7 @@ def _restrict_germ(components, chosen, point):
     n = components[0].nvars
     if not chosen:
         return list(components), list(point)
-    rows = [_linear_part(f) for f in chosen]
+    rows = [_form_vector(f) for f in chosen]
     change = linalg.complete_to_square(rows)
     inverse = linalg.invert(change)
     # x = point + inverse . u

@@ -1,8 +1,8 @@
 """Small exact linear algebra helpers over Fraction.
 
 Row operations only; matrices are lists of lists of Fraction and stay
-tiny (a handful of rows), so no pivoting strategy beyond "first nonzero"
-is needed.
+small (at most a few dozen rows), so no pivoting strategy beyond "first
+nonzero" is needed.
 """
 
 from __future__ import annotations
@@ -61,6 +61,39 @@ def invert(matrix: Sequence[Sequence]) -> list:
 def mat_vec(matrix: Sequence[Sequence], vec: Sequence) -> list:
     return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, vec)), Fraction(0))
             for row in matrix]
+
+
+def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list:
+    """Matrix product a . b, skipping zero entries."""
+    ncols = len(b[0]) if b else 0
+    out = []
+    for row in a:
+        acc = [0] * ncols
+        for x, brow in zip(row, b):
+            if x:
+                for j, y in enumerate(brow):
+                    if y:
+                        acc[j] += x * y
+        out.append(acc)
+    return out
+
+
+def stable_row_space(matrix: Sequence[Sequence]) -> list:
+    """Independent rows spanning the row space of matrix^k for all large k.
+
+    The row spaces of the powers shrink, since rowspace(M^(k+1)) =
+    rowspace(M^k) . M, and once one step keeps the dimension they stay
+    put; for an n x n matrix that happens by k = n.  Equal to the row
+    space of M^n without forming the power.
+    """
+    reduced, pivots = rref(matrix)
+    rows = reduced[:len(pivots)]
+    while rows:
+        reduced, pivots = rref(mat_mul(rows, matrix))
+        if len(pivots) == len(rows):
+            break
+        rows = reduced[:len(pivots)]
+    return rows
 
 
 def nullspace(rows: Sequence[Sequence]) -> list:

@@ -1,4 +1,8 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -97,6 +101,19 @@ def test_indices_merges_cli_points(triangle_file, capsys):
 def test_indices_rejects_bad_point(triangle_file, capsys):
     assert main(["indices", triangle_file, "--point", "1,2"]) == 2
     assert "SYNTAX_ERROR" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("flags", [[], ["-O"]])
+def test_python_m_logfol_runs_verify(triangle_file, flags):
+    src = str(Path(__file__).resolve().parent.parent / "src")
+    env = dict(os.environ, PYTHONPATH=os.pathsep.join(
+        filter(None, [src, os.environ.get("PYTHONPATH")])))
+    proc = subprocess.run(
+        [sys.executable, *flags, "-m", "logfol", "--report", "json", "verify",
+         triangle_file], capture_output=True, text=True, env=env, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stderr == ""
+    assert json.loads(proc.stdout)["verified"] is True
 
 
 # ------------------------------------------------------------- validation

@@ -1,4 +1,5 @@
 import itertools
+import random
 from fractions import Fraction
 
 import pytest
@@ -17,8 +18,18 @@ from logfol.groebner import (
     quotient_dimension,
     saturate,
     staircase,
+    supported_length,
 )
-from logfol.polynomials import GREVLEX, LEX, MultiPoly, format_poly, parse_polynomial
+from logfol.errors import InputError
+from logfol.foliations import Foliation
+from logfol.polynomials import (
+    GREVLEX,
+    LEX,
+    MultiPoly,
+    format_poly,
+    linear_substitute,
+    parse_polynomial,
+)
 
 from oracles import brute_contains, brute_quotient_dimension
 
@@ -230,6 +241,95 @@ def test_quotient_dimension_matches_brute_force(texts, names):
     gens = [poly(t, names) for t in texts]
     expected = brute_quotient_dimension(gens, len(names))
     assert quotient_dimension(buchberger(gens, len(names))) == expected
+
+
+# ------------------------------------------------------- supported length
+
+
+def saturation_length(I, locus):
+    """The saturation route: dim Q[x]/I minus dim Q[x]/(I : (locus)^inf)."""
+    if not locus:
+        return quotient_dimension(I)
+    return quotient_dimension(I) - quotient_dimension(saturate(I, Ideal(I.nvars, locus)))
+
+
+def chart_loci(fol, forms):
+    """(chart ideal, locus) pairs as the global totals use them."""
+    n = fol.n
+    for j in range(n + 1):
+        overlap = [MultiPoly.variable(n, i) for i in range(j)]
+        product = MultiPoly.constant(n, 1)
+        for f in forms:
+            product = product * f.dehomogenize(j)
+        yield fol.singular_ideal(j), overlap
+        yield fol.singular_ideal(j), overlap + [product]
+
+
+def lotka_volterra(n, d, seed):
+    """P_i = z_i * Q_i with seeded integer Q_i of degree d-1, isolated zeros."""
+    rng = random.Random(seed)
+    monos = [e for e in itertools.product(range(d), repeat=n + 1) if sum(e) == d - 1]
+    while True:
+        comps = [MultiPoly.variable(n + 1, i) *
+                 MultiPoly(n + 1, {e: rng.randint(-3, 3) for e in monos})
+                 for i in range(n + 1)]
+        try:
+            return Foliation(comps)
+        except InputError:
+            continue
+
+
+def sheared(fol, forms):
+    """The instance after w = S z, where S adds z_1 to z_0."""
+    size = fol.n + 1
+    inverse = [[1 if i == j else 0 for j in range(size)] for i in range(size)]
+    inverse[0][1] = -1
+    pulled = [linear_substitute(p, inverse) for p in fol.components]
+    return (Foliation([pulled[0] + pulled[1]] + pulled[1:]),
+            [linear_substitute(f, inverse) for f in forms])
+
+
+def coordinate_forms(n):
+    return [MultiPoly.variable(n + 1, i) for i in range(n + 1)]
+
+
+def test_supported_length_matches_saturation_on_triangle_charts():
+    names = ["z0", "z1", "z2"]
+    triangle = Foliation([poly(t, names) for t in ["0", "z1*(z1 - z0)", "z2*(z2 - z0)"]])
+    forms = [poly(t, names) for t in names]
+    for I, locus in chart_loci(triangle, forms):
+        assert supported_length(I, locus) == saturation_length(I, locus)
+
+
+@pytest.mark.parametrize("n,d,seed,shear", [
+    (2, 3, 1, False), (2, 3, 1, True), (3, 2, 2, False),
+])
+def test_supported_length_matches_saturation_on_lotka_volterra(n, d, seed, shear):
+    fol, forms = lotka_volterra(n, d, seed), coordinate_forms(n)
+    if shear:
+        fol, forms = sheared(fol, forms)
+    for I, locus in chart_loci(fol, forms):
+        assert supported_length(I, locus) == saturation_length(I, locus)
+
+
+@pytest.mark.parametrize("texts,locus,expected", [
+    (["x^2 - 2", "y^2 - 3"], ["x^2 - 2"], 4),
+    (["x^2 - 2", "y^2 - 3"], ["x - y"], 0),
+    (["x^2 - 2", "y^2 - 3"], [], 4),
+    (["x^2*(x - 1)", "y^2"], ["x"], 4),
+    (["x^2*(x - 1)", "y^2"], ["x - 1", "y"], 2),
+    (["x^2*(x - 1)", "y^2"], ["y"], 6),
+])
+def test_supported_length_counts_multiplicity(texts, locus, expected):
+    I = ideal(texts)
+    locus = [poly(t) for t in locus]
+    assert supported_length(I, locus) == expected
+    assert saturation_length(I, locus) == expected
+
+
+def test_supported_length_needs_a_finite_staircase():
+    with pytest.raises(ValueError):
+        supported_length(ideal(["x"]), [poly("y")])
 
 
 # -------------------------------------------------------------- hypothesis
