@@ -49,7 +49,8 @@ class TruncatedSeries:
 
     def integer_coefficient(self, k: int) -> int:
         c = self.coeffs[k]
-        assert c.denominator == 1, f"expected an integer coefficient, got {c}"
+        if c.denominator != 1:
+            raise ValueError(f"expected an integer coefficient, got {c}")
         return int(c)
 
     def _binary(self, other, op):
@@ -176,28 +177,28 @@ def complete_homogeneous(m: int, args: Sequence) -> Fraction:
     return table[m]
 
 
+def _binomial_sigma(data: ChernInput, sign: int) -> int:
+    # sum_{i=0}^{n} C(n+1, i) * h_{n-i}(sign*d_1, ..., sign*d_k, d-1)
+    args = [sign * d for d in data.divisor_degrees] + [data.foliation_degree - 1]
+    total = sum((comb(data.n + 1, i) * complete_homogeneous(data.n - i, args)
+                 for i in range(data.n + 1)), Fraction(0))
+    if total.denominator != 1:
+        raise ValueError(f"closed form is not an integer: {total}")
+    return int(total)
+
+
 def closed_form_sigma(data: ChernInput) -> int:
     """Binomial-weighted complete homogeneous closed form of the integral.
 
     sum_{i=0}^{n} C(n+1, i) * h_{n-i}(-d_1, ..., -d_k, d-1); the divisor
     degrees enter negated.
     """
-    args = [-d for d in data.divisor_degrees] + [data.foliation_degree - 1]
-    total = Fraction(0)
-    for i in range(data.n + 1):
-        total += comb(data.n + 1, i) * complete_homogeneous(data.n - i, args)
-    assert total.denominator == 1
-    return int(total)
+    return _binomial_sigma(data, -1)
 
 
 def closed_form_sigma_positive_args(data: ChernInput) -> int:
     """Same shape with all-positive arguments; disagrees with the series."""
-    args = list(data.divisor_degrees) + [data.foliation_degree - 1]
-    total = Fraction(0)
-    for i in range(data.n + 1):
-        total += comb(data.n + 1, i) * complete_homogeneous(data.n - i, args)
-    assert total.denominator == 1
-    return int(total)
+    return _binomial_sigma(data, 1)
 
 
 SIGMA_DIVERGENCE_CASE = ChernInput(n=2, divisor_degrees=(1,), foliation_degree=2)

@@ -29,22 +29,11 @@ generality has no index-side counterpart, so the CLI does not expose it.
 import argparse
 import json
 import sys
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
-from .chern import (
-    ChernInput,
-    closed_form_sigma,
-    lhs_integral,
-    sigma_convention_note,
-)
-from .errors import NC_VIOLATION, SYNTAX_ERROR, InputError
-from .foliations import (
-    Arrangement,
-    Foliation,
-    ambient_names,
-    require_logarithmic,
-    validate_arrangement,
-)
+from .chern import ChernInput, closed_form_sigma, lhs_integral, sigma_convention_note
+from .errors import SYNTAX_ERROR, InputError
+from .foliations import Arrangement, Foliation, Instance, ambient_names
 from .indices import (
     RationalPoint,
     complement_milnor_sum,
@@ -56,18 +45,17 @@ from .polynomials import format_poly, parse_polynomial
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A parsed and fully validated problem description."""
+    """A parsed problem description and its validated `Instance`.
+
+    Every command reads the foliation, its chart bases and its stratum
+    restrictions from `instance`, which `parse_spec` builds once.
+    """
 
     n: int
     components: tuple
     forms: tuple
     points: tuple
-
-    def foliation(self) -> Foliation:
-        return Foliation(self.components)
-
-    def arrangement(self) -> Arrangement:
-        return Arrangement(self.n, self.forms)
+    instance: Instance = field(compare=False, repr=False)
 
     def serialize(self) -> dict:
         names = ambient_names(self.n)
@@ -145,16 +133,10 @@ def parse_spec(text: str) -> ProblemSpec:
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise _fail(f"points[{i}]: {exc}") from None
 
-    spec = ProblemSpec(n=n, components=tuple(components), forms=tuple(forms),
-                       points=tuple(points))
-    # run every structural validation now so commands can assume a good spec
-    fol = spec.foliation()
-    arr = spec.arrangement()
-    violation = validate_arrangement(arr)
-    if violation is not None:
-        raise InputError(NC_VIOLATION, violation.describe())
-    require_logarithmic(fol, arr)
-    return spec
+    # every structural validation runs here, once; commands trust the instance
+    instance = Instance(Foliation(components), Arrangement(n, forms))
+    return ProblemSpec(n=n, components=tuple(components), forms=tuple(forms),
+                       points=tuple(points), instance=instance)
 
 
 # ------------------------------------------------------------------ payloads
@@ -181,18 +163,19 @@ def _stratum_payload(s) -> dict:
     }
 
 
-def _sigma_payload(spec: ProblemSpec) -> dict:
-    data = ChernInput(n=spec.n, divisor_degrees=(1,) * len(spec.forms),
-                      foliation_degree=spec.foliation().degree)
-    return {
-        "sigma_closed_form": closed_form_sigma(data),
-        "sigma_matches": closed_form_sigma(data) == lhs_integral(data),
-        "warnings": [sigma_convention_note()],
-    }
+def _add_sigma(payload: dict) -> dict:
+    """Add the closed form of a payload's Chern number and the sign reminder."""
+    sigma = closed_form_sigma(ChernInput(n=payload["n"],
+                                         divisor_degrees=(1,) * payload["hyperplanes"],
+                                         foliation_degree=payload["degree"]))
+    payload.update(sigma_closed_form=sigma,
+                   sigma_matches=sigma == payload["lhs_chern"],
+                   warnings=[sigma_convention_note()])
+    return payload
 
 
 def cmd_verify(spec: ProblemSpec, check_sigma: bool = False) -> dict:
-    report = verify_instance(spec.foliation(), spec.arrangement(), spec.points)
+    report = verify_instance(spec.instance, spec.points)
     payload = {
         "command": "verify",
         "n": report.n,
@@ -205,43 +188,31 @@ def cmd_verify(spec: ProblemSpec, check_sigma: bool = False) -> dict:
         "points": [_point_payload(r) for r in report.points],
         "warnings": [],
     }
-    if check_sigma:
-        extra = _sigma_payload(spec)
-        payload["sigma_closed_form"] = extra["sigma_closed_form"]
-        payload["sigma_matches"] = extra["sigma_matches"]
-        payload["warnings"] = extra["warnings"]
-    return payload
+    return _add_sigma(payload) if check_sigma else payload
 
 
 def cmd_chern(spec: ProblemSpec, check_sigma: bool = False) -> dict:
-    fol = spec.foliation()
+    degree = spec.instance.fol.degree
     data = ChernInput(n=spec.n, divisor_degrees=(1,) * len(spec.forms),
-                      foliation_degree=fol.degree)
+                      foliation_degree=degree)
     payload = {
         "command": "chern",
         "n": spec.n,
-        "degree": fol.degree,
+        "degree": degree,
         "hyperplanes": len(spec.forms),
         "lhs_chern": lhs_integral(data),
         "warnings": [],
     }
-    if check_sigma:
-        extra = _sigma_payload(spec)
-        payload["sigma_closed_form"] = extra["sigma_closed_form"]
-        payload["sigma_matches"] = extra["sigma_matches"]
-        payload["warnings"] = extra["warnings"]
-    return payload
+    return _add_sigma(payload) if check_sigma else payload
 
 
 def cmd_indices(spec: ProblemSpec, extra_points=()) -> dict:
-    fol = spec.foliation()
-    arr = spec.arrangement()
     points = list(spec.points) + list(extra_points)
-    records = [point_record(fol, arr, p) for p in points]
+    records = [point_record(spec.instance, p) for p in points]
     return {
         "command": "indices",
         "n": spec.n,
-        "degree": fol.degree,
+        "degree": spec.instance.fol.degree,
         "hyperplanes": len(spec.forms),
         "points": [_point_payload(r) for r in records],
         "warnings": [],
@@ -249,14 +220,12 @@ def cmd_indices(spec: ProblemSpec, extra_points=()) -> dict:
 
 
 def cmd_count_complement(spec: ProblemSpec) -> dict:
-    fol = spec.foliation()
-    total = complement_milnor_sum(fol, spec.arrangement())
     return {
         "command": "count-complement",
         "n": spec.n,
-        "degree": fol.degree,
+        "degree": spec.instance.fol.degree,
         "hyperplanes": len(spec.forms),
-        "complement_milnor_sum": total,
+        "complement_milnor_sum": complement_milnor_sum(spec.instance),
         "warnings": [],
     }
 

@@ -116,10 +116,16 @@ class Foliation:
         return field
 
     def singular_ideal(self, j: int) -> Ideal:
-        """Ideal of the chart-j vector field components, basis cached."""
+        """Ideal of the chart-j vector field components, basis cached.
+
+        Charts whose fields have the same nonzero components share one
+        ideal, so its basis is computed once.
+        """
         if j not in self._ideals:
-            field = self.chart_field(j)
-            self._ideals[j] = buchberger(list(field.components), self.n)
+            gens = [c for c in self.chart_field(j).components if not c.is_zero()]
+            same = [ideal for ideal in self._ideals.values()
+                    if set(ideal.generators) == set(gens)]
+            self._ideals[j] = same[0] if same else buchberger(gens, self.n)
         return self._ideals[j]
 
     def __eq__(self, other):
@@ -292,15 +298,24 @@ def restrict_to_stratum(fol: Foliation, arr: Arrangement,
     hyperplane to be invariant and the stratum to have dimension >= 1.
     """
     indices = tuple(sorted(indices))
+    require_logarithmic(fol, arr, indices)
+    components, stratum = _restricted_components(fol, arr, indices)
+    if not indices:
+        return fol, stratum
+    return (None if components is None else Foliation(components)), stratum
+
+
+def _restricted_components(fol: Foliation, arr: Arrangement, indices: tuple):
+    # restrict_to_stratum without the invariance check and without building
+    # the restricted Foliation: (components or None, stratum) for sorted indices
     if len(set(indices)) != len(indices):
         raise ValueError("repeated hyperplane index")
-    require_logarithmic(fol, arr, indices)
     stratum = build_stratum(arr, indices)
     m = stratum.dim
     if m < 1 and indices:
         raise ValueError("stratum is a point; use the point conventions instead")
     if not indices:
-        return fol, stratum
+        return fol.components, stratum
 
     n = fol.n
     # images of the old variables in the new coordinates: z = inverse . w
@@ -317,9 +332,52 @@ def restrict_to_stratum(fol: Foliation, arr: Arrangement,
                 q = q + p * coeff
         new_components.append(q)
     # tangency makes the trailing components vanish on the stratum
-    for q in new_components[m + 1:]:
-        assert q.set_trailing_zero(m + 1).is_zero()
-    restricted = [q.set_trailing_zero(m + 1) for q in new_components[: m + 1]]
+    if any(not q.set_trailing_zero(m + 1).is_zero() for q in new_components[m + 1:]):
+        raise InputError(NOT_LOGARITHMIC, f"stratum {indices} is not invariant")
+    restricted = tuple(q.set_trailing_zero(m + 1) for q in new_components[: m + 1])
     if all(r.is_zero() for r in restricted):
         return None, stratum
-    return Foliation(restricted), stratum
+    return restricted, stratum
+
+
+# ----------------------------------------------------------------- instance
+
+class Instance:
+    """A foliation with a normal-crossing arrangement of invariant hyperplanes.
+
+    The constructor runs the checks a `Foliation` leaves open, once: the
+    arrangement is normal crossing and every hyperplane is invariant.
+    Code handed an `Instance` never re-validates it.  The chart bases
+    stay cached on the foliation, and each stratum restriction is built
+    at most once, as one `Foliation` per distinct restricted field.
+    """
+
+    __slots__ = ("fol", "arr", "_restrictions", "_foliations")
+
+    def __init__(self, fol: Foliation, arr: Arrangement):
+        if arr.n != fol.n:
+            raise ValueError("foliation and arrangement live in different spaces")
+        violation = validate_arrangement(arr)
+        if violation is not None:
+            raise InputError(NC_VIOLATION, violation.describe())
+        require_logarithmic(fol, arr)
+        self.fol = fol
+        self.arr = arr
+        self._restrictions = {}
+        self._foliations = {fol.components: fol}
+
+    def restriction(self, indices: Sequence[int]):
+        """(restricted foliation, stratum) for the given hyperplanes, memoized.
+
+        Raises POSITIVE_DIM_SING when the restriction vanishes.
+        """
+        indices = tuple(sorted(indices))
+        if indices not in self._restrictions:
+            restricted, stratum = _restricted_components(self.fol, self.arr, indices)
+            if restricted is None:
+                raise InputError(POSITIVE_DIM_SING,
+                                 f"restriction to stratum {indices} vanishes")
+            if restricted not in self._foliations:
+                self._foliations[restricted] = Foliation(restricted)
+            self._restrictions[indices] = self._foliations[restricted], stratum
+        return self._restrictions[indices]

@@ -286,7 +286,8 @@ def _prefix_var(p: MultiPoly, count: int = 1) -> MultiPoly:
 
 
 def _strip_prefix(p: MultiPoly, count: int = 1) -> MultiPoly:
-    assert all(not any(e[:count]) for e in p.terms)
+    if any(any(e[:count]) for e in p.terms):
+        raise ValueError("polynomial involves the variables being stripped")
     return MultiPoly(p.nvars - count, {e[count:]: c for e, c in p.terms.items()})
 
 

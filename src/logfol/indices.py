@@ -24,16 +24,8 @@ from typing import Sequence
 
 from . import linalg
 from .chern import ChernInput, lhs_integral
-from .errors import NC_VIOLATION, NOT_LOGARITHMIC, POSITIVE_DIM_SING, InputError
-from .foliations import (
-    Arrangement,
-    Foliation,
-    ambient_names,
-    require_logarithmic,
-    restrict_to_stratum,
-    validate_arrangement,
-    _form_vector,
-)
+from .errors import NC_VIOLATION, NOT_LOGARITHMIC, InputError
+from .foliations import Arrangement, Foliation, Instance, _form_vector
 from .groebner import (
     INFINITE,
     Ideal,
@@ -169,19 +161,16 @@ def components_through(arr: Arrangement, point: RationalPoint) -> tuple:
                  if f.evaluate(point.coords) == 0)
 
 
-def log_index_at_point(fol: Foliation, arr: Arrangement,
-                       point: RationalPoint) -> int:
+def log_index_at_point(inst: Instance, point: RationalPoint) -> int:
     """Alternating sum of restricted Milnor numbers over strata through p.
 
     Off the divisor this is just the Milnor number; at a nonsingular
-    point it is 0.  Every hyperplane through the point must be
-    invariant.
+    point it is 0.
     """
-    through = components_through(arr, point)
-    require_logarithmic(fol, arr, through)
-    if not is_singular_point(fol, point):
+    if not is_singular_point(inst.fol, point):
         return 0
-    n = fol.n
+    through = components_through(inst.arr, point)
+    n = inst.fol.n
     total = 0
     for size in range(len(through) + 1):
         for subset in combinations(through, size):
@@ -189,21 +178,17 @@ def log_index_at_point(fol: Foliation, arr: Arrangement,
             if size == n:
                 total += sign  # point stratum; p is singular here
                 continue
-            restricted, stratum = restrict_to_stratum(fol, arr, subset)
-            if restricted is None:
-                raise InputError(POSITIVE_DIM_SING,
-                                 f"restriction to stratum {subset} vanishes")
+            restricted, stratum = inst.restriction(subset)
             sp = RationalPoint(stratum.ambient_to_stratum(point.coords))
             total += sign * point_milnor(restricted, sp)
     return total
 
 
-def hom_index_at_point(fol: Foliation, arr: Arrangement,
-                       point: RationalPoint) -> int:
+def hom_index_at_point(inst: Instance, point: RationalPoint) -> int:
     """Milnor number minus logarithmic index; only defined on the divisor."""
-    if not components_through(arr, point):
+    if not components_through(inst.arr, point):
         raise ValueError("point does not lie on the divisor")
-    return point_milnor(fol, point) - log_index_at_point(fol, arr, point)
+    return point_milnor(inst.fol, point) - log_index_at_point(inst, point)
 
 
 # ------------------------------------------------------------- global sums
@@ -227,21 +212,19 @@ def total_milnor(fol: Foliation) -> int:
                for j in range(n + 1))
 
 
-def complement_milnor_sum(fol: Foliation, arr: Arrangement) -> int:
+def complement_milnor_sum(inst: Instance) -> int:
     """Total Milnor number of the singularities off the arrangement.
 
     Chart j contributes its length on the chart's own locus minus the
     part of that which also lies on some hyperplane.
     """
-    n = fol.n
+    n = inst.fol.n
     total = 0
     for j in range(n + 1):
-        ideal = fol.singular_ideal(j)
+        ideal = inst.fol.singular_ideal(j)
         product = MultiPoly.constant(n, 1)
-        for f in arr.forms:
+        for f in inst.arr.forms:
             product = product * f.dehomogenize(j)
-        if product.is_zero():
-            raise ValueError("arrangement contains the zero form")
         overlap = _overlap_vars(n, j)
         total += (supported_length(ideal, overlap)
                   - supported_length(ideal, overlap + [product]))
@@ -267,17 +250,14 @@ def _point_stratum_point(arr: Arrangement, indices) -> RationalPoint:
     return RationalPoint(kernel[0])
 
 
-def stratum_breakdown(fol: Foliation, arr: Arrangement) -> list:
+def stratum_breakdown(inst: Instance) -> list:
     """Signed total Milnor numbers of all stratum restrictions.
 
     Zero-dimensional strata report 1 when their point is singular for
     the ambient foliation (it always is, under tangency) and 0
     otherwise.
     """
-    violation = validate_arrangement(arr)
-    if violation is not None:
-        raise InputError(NC_VIOLATION, violation.describe())
-    require_logarithmic(fol, arr)
+    fol, arr = inst.fol, inst.arr
     n = fol.n
     k = len(arr.forms)
     out = []
@@ -290,19 +270,15 @@ def stratum_breakdown(fol: Foliation, arr: Arrangement) -> list:
                 point = _point_stratum_point(arr, subset)
                 value = 1 if is_singular_point(fol, point) else 0
             else:
-                restricted, _ = restrict_to_stratum(fol, arr, subset)
-                if restricted is None:
-                    raise InputError(POSITIVE_DIM_SING,
-                                     f"restriction to stratum {subset} vanishes")
-                value = total_milnor(restricted)
+                value = total_milnor(inst.restriction(subset)[0])
             out.append(StratumTotal(indices=tuple(subset), dim=n - size,
                                     sign=sign, total=value))
     return out
 
 
-def rhs_total(fol: Foliation, arr: Arrangement) -> int:
+def rhs_total(inst: Instance) -> int:
     """The stratified sum of logarithmic indices over all singularities."""
-    return sum(s.sign * s.total for s in stratum_breakdown(fol, arr))
+    return sum(s.sign * s.total for s in stratum_breakdown(inst))
 
 
 # ------------------------------------------------------------- affine germs
@@ -413,25 +389,25 @@ class IndexReport:
     points: tuple
 
 
-def point_record(fol: Foliation, arr: Arrangement,
-                 point: RationalPoint) -> PointRecord:
-    on = components_through(arr, point)
-    singular = is_singular_point(fol, point)
-    mu = point_milnor(fol, point) if singular else 0
-    log = log_index_at_point(fol, arr, point)
+def point_record(inst: Instance, point: RationalPoint) -> PointRecord:
+    on = components_through(inst.arr, point)
+    singular = is_singular_point(inst.fol, point)
+    mu = point_milnor(inst.fol, point) if singular else 0
+    log = log_index_at_point(inst, point)
     hom = (mu - log) if on else None
     return PointRecord(point=point, on_divisor=on, singular=singular,
                        milnor=mu, log_index=log, hom_index=hom)
 
 
-def verify_instance(fol: Foliation, arr: Arrangement,
+def verify_instance(inst: Instance,
                     points: Sequence[RationalPoint] = ()) -> IndexReport:
     """Compare the Chern-number side with the stratified index side."""
-    strata = stratum_breakdown(fol, arr)
+    fol, arr = inst.fol, inst.arr
+    strata = stratum_breakdown(inst)
     rhs = sum(s.sign * s.total for s in strata)
     lhs = lhs_integral(ChernInput(n=fol.n, divisor_degrees=(1,) * len(arr.forms),
                                   foliation_degree=fol.degree))
-    records = tuple(point_record(fol, arr, p) for p in points)
+    records = tuple(point_record(inst, p) for p in points)
     return IndexReport(n=fol.n, degree=fol.degree, hyperplanes=len(arr.forms),
                        lhs_chern=lhs, rhs_total=rhs, verified=(lhs == rhs),
                        strata=tuple(strata), points=records)

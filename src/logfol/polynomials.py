@@ -347,6 +347,10 @@ def linear_substitute(f: MultiPoly, matrix: Sequence[Sequence]) -> MultiPoly:
 
 # ------------------------------------------------------------------- parsing
 
+# deepest nesting of parentheses and unary minus signs parse_polynomial accepts
+MAX_NESTING = 100
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -391,11 +395,22 @@ def parse_polynomial(text: str, names: Sequence[str]) -> MultiPoly:
     """Parse +, -, *, ^, rational coefficients and parentheses.
 
     Multiplication is explicit (write 2*x, not 2x).  Raises ValueError
-    with a position on malformed input.
+    with a position on malformed input, including parentheses and unary
+    minus signs nested more than MAX_NESTING deep.
     """
     nvars = len(names)
     index = {name: i for i, name in enumerate(names)}
     sc = _Scanner(text)
+    depth = 0
+
+    def nested(parse) -> MultiPoly:
+        nonlocal depth
+        if depth == MAX_NESTING:
+            sc.error(f"more than {MAX_NESTING} nested parentheses or signs")
+        depth += 1
+        inner = parse()
+        depth -= 1
+        return inner
 
     def parse_expr() -> MultiPoly:
         sign = 1
@@ -434,14 +449,14 @@ def parse_polynomial(text: str, names: Sequence[str]) -> MultiPoly:
         ch = sc.peek()
         if ch == "(":
             sc.take()
-            inner = parse_expr()
+            inner = nested(parse_expr)
             if sc.peek() != ")":
                 sc.error("expected ')'")
             sc.take()
             return inner
         if ch == "-":
             sc.take()
-            return -parse_atom()
+            return -nested(parse_atom)
         if ch.isdigit():
             num = sc.integer()
             if sc.peek() == "/":

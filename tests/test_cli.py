@@ -147,6 +147,13 @@ def test_validation_errors_exit_two(tmp_path, capsys, doc, code):
     assert err.startswith(f"error {code}:")
 
 
+def test_deep_nesting_exits_two(tmp_path, capsys):
+    deep = "(" * 3000 + "z1" + ")" * 3000
+    doc = dict(TRIANGLE, foliation=["0", f"{deep}*(z1 - z0)", "z2*(z2 - z0)"])
+    assert main(["chern", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("error SYNTAX_ERROR: foliation[1]:")
+
+
 def test_missing_file_exits_two(capsys):
     assert main(["verify", "/nonexistent/x.json"]) == 2
     assert "SYNTAX_ERROR" in capsys.readouterr().err

@@ -3,7 +3,7 @@ from fractions import Fraction
 import pytest
 
 from logfol.errors import NOT_LOGARITHMIC, InputError
-from logfol.foliations import Arrangement, Foliation
+from logfol.foliations import Arrangement, Foliation, Instance
 from logfol.groebner import Ideal, buchberger
 from logfol.indices import (
     RationalPoint,
@@ -178,27 +178,28 @@ TRIANGLE_TABLE = [
 @pytest.mark.parametrize("coords,mu,log,hom", TRIANGLE_TABLE)
 def test_triangle_point_table(coords, mu, log, hom):
     f, a = triangle()
+    inst = Instance(f, a)
     p = pt(*coords)
     assert point_milnor(f, p) == mu
-    assert log_index_at_point(f, a, p) == log
+    assert log_index_at_point(inst, p) == log
     if hom is None:
         with pytest.raises(ValueError):
-            hom_index_at_point(f, a, p)
+            hom_index_at_point(inst, p)
     else:
-        assert hom_index_at_point(f, a, p) == hom
+        assert hom_index_at_point(inst, p) == hom
         assert log + hom == mu
 
 
 def test_point_record_shapes():
-    f, a = triangle()
-    rec = point_record(f, a, pt(1, 0, 0))
+    inst = Instance(*triangle())
+    rec = point_record(inst, pt(1, 0, 0))
     assert rec.on_divisor == (1, 2)
     assert rec.singular
     assert (rec.milnor, rec.log_index, rec.hom_index) == (1, 0, 1)
-    off = point_record(f, a, pt(1, 1, 1))
+    off = point_record(inst, pt(1, 1, 1))
     assert off.on_divisor == ()
     assert off.hom_index is None
-    boring = point_record(f, a, pt(1, 2, 3))
+    boring = point_record(inst, pt(1, 2, 3))
     assert not boring.singular
     assert (boring.milnor, boring.log_index) == (0, 0)
 
@@ -206,13 +207,12 @@ def test_point_record_shapes():
 def test_triangle_totals():
     f, a = triangle()
     assert total_milnor(f) == 7
-    assert rhs_total(f, a) == 1
-    assert complement_milnor_sum(f, a) == 1
+    assert rhs_total(Instance(f, a)) == 1
+    assert complement_milnor_sum(Instance(f, a)) == 1
 
 
 def test_triangle_stratum_breakdown():
-    f, a = triangle()
-    rows = stratum_breakdown(f, a)
+    rows = stratum_breakdown(Instance(*triangle()))
     table = {r.indices: (r.dim, r.sign, r.total) for r in rows}
     assert table[()] == (2, 1, 7)
     for single in [(0,), (1,), (2,)]:
@@ -223,16 +223,16 @@ def test_triangle_stratum_breakdown():
 
 
 def test_rhs_matches_per_point_logs():
-    f, a = triangle()
+    inst = Instance(*triangle())
     singular = [pt(*c) for c, _, _, _ in TRIANGLE_TABLE]
-    assert sum(log_index_at_point(f, a, p) for p in singular) == rhs_total(f, a)
+    assert sum(log_index_at_point(inst, p) for p in singular) == rhs_total(inst)
 
 
 def test_empty_arrangement_reduces_to_total_milnor():
     f, _ = triangle()
-    empty = Arrangement(2, [])
-    assert rhs_total(f, empty) == total_milnor(f) == 7
-    assert complement_milnor_sum(f, empty) == 7
+    empty = Instance(f, Arrangement(2, []))
+    assert rhs_total(empty) == total_milnor(f) == 7
+    assert complement_milnor_sum(empty) == 7
 
 
 def test_dropping_a_far_hyperplane_keeps_log():
@@ -240,14 +240,13 @@ def test_dropping_a_far_hyperplane_keeps_log():
     p = pt(1, 1, 0)
     smaller = arr(["z2"])
     other = arr(["z0", "z2"])
-    full = log_index_at_point(f, a, p)
-    assert log_index_at_point(f, smaller, p) == full
-    assert log_index_at_point(f, other, p) == full
+    full = log_index_at_point(Instance(f, a), p)
+    assert log_index_at_point(Instance(f, smaller), p) == full
+    assert log_index_at_point(Instance(f, other), p) == full
 
 
 def test_verify_instance_report():
-    f, a = triangle()
-    report = verify_instance(f, a, [pt(1, 1, 1)])
+    report = verify_instance(Instance(*triangle()), [pt(1, 1, 1)])
     assert report.lhs_chern == report.rhs_total == 1
     assert report.verified
     assert report.points[0].milnor == 1
@@ -267,19 +266,21 @@ ON_DIVISOR_TABLE = [
 
 def test_on_divisor_instance_points():
     f, a = on_divisor_instance()
+    inst = Instance(f, a)
     for coords, mu, log in ON_DIVISOR_TABLE:
         p = pt(*coords)
         assert point_milnor(f, p) == mu
-        assert log_index_at_point(f, a, p) == log
-        assert hom_index_at_point(f, a, p) == mu - log
+        assert log_index_at_point(inst, p) == log
+        assert hom_index_at_point(inst, p) == mu - log
 
 
 def test_on_divisor_instance_totals():
     f, a = on_divisor_instance()
+    inst = Instance(f, a)
     assert total_milnor(f) == 7
-    assert rhs_total(f, a) == 2
-    assert complement_milnor_sum(f, a) == 0
-    assert sum(log for _, _, log in ON_DIVISOR_TABLE) == rhs_total(f, a)
+    assert rhs_total(inst) == 2
+    assert complement_milnor_sum(inst) == 0
+    assert sum(log for _, _, log in ON_DIVISOR_TABLE) == rhs_total(inst)
 
 
 # ------------------------------------------------------- coordinate change
@@ -304,9 +305,10 @@ def test_invariance_under_projective_change():
     f, a = triangle()
     matrix = [[1, 1, 0], [0, 1, 0], [0, 0, 1]]
     g, b = _transform(f, a, matrix)
+    moved = Instance(g, b)
     assert total_milnor(g) == 7
-    assert rhs_total(g, b) == 1
-    assert complement_milnor_sum(g, b) == 1
+    assert rhs_total(moved) == 1
+    assert complement_milnor_sum(moved) == 1
     # the off-divisor point [1:1:1] moves to [2:1:1]
-    assert log_index_at_point(g, b, pt(2, 1, 1)) == 1
+    assert log_index_at_point(moved, pt(2, 1, 1)) == 1
     assert point_milnor(g, pt(2, 1, 1)) == 1

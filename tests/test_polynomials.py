@@ -7,6 +7,7 @@ from hypothesis import strategies as st
 from logfol.polynomials import (
     GREVLEX,
     LEX,
+    MAX_NESTING,
     BlockOrder,
     MultiPoly,
     format_poly,
@@ -55,6 +56,19 @@ def test_parse_errors_carry_position():
         poly("(x")
     with pytest.raises(ValueError):
         poly("x^-2")
+
+
+def test_parse_nesting_is_bounded():
+    deepest = "(" * MAX_NESTING + "x" + ")" * MAX_NESTING
+    assert poly(deepest) == poly("x")
+    # the leading sign of an expression does not nest
+    assert poly("-" * (MAX_NESTING + 1) + "x") == poly("-x")
+    for text in ["(" * (MAX_NESTING + 1) + "x" + ")" * (MAX_NESTING + 1),
+                 "(" * 3000 + "x" + ")" * 3000,
+                 "-" * 3000 + "x",
+                 "-(" * 3000 + "x" + ")" * 3000]:
+        with pytest.raises(ValueError, match="nested"):
+            poly(text)
 
 
 def test_format_round_trips():
