@@ -1,11 +1,14 @@
 """Groebner bases over Q and the ideal operations built on them.
 
 Buchberger's algorithm with the classical pair pruning (coprime leading
-monomials and the chain criterion) followed by full interreduction, so
-every call yields *the* reduced basis of the ideal under the chosen
-order.  Determinism matters more than speed here: inputs are sorted
-canonically, pairs are processed smallest-lcm first, and bases come out
-sorted by leading monomial.
+monomials and the chain criterion) followed by one interreduction pass,
+so every call yields *the* reduced basis of the ideal under the chosen
+order.  The run is deterministic: inputs are sorted canonically, the
+pending pairs sit in a heap keyed (order key of the lcm, i, j), so the
+smallest lcm comes first and ties go to the lower indices, and bases
+come out sorted by leading monomial.  Division keeps the pending terms
+in a heap keyed once per monomial and splits each divisor's tail off
+once.
 
 Vector-space dimensions of quotients are staircase counts read off the
 reduced basis.  The length of the part of a zero-dimensional scheme on
@@ -20,6 +23,7 @@ stabilizes.
 from __future__ import annotations
 
 from fractions import Fraction
+from heapq import heapify, heappop, heappush
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -116,31 +120,42 @@ def divide(f: MultiPoly, divisors: Sequence[MultiPoly],
     of the divisors; the divisor scanned first is always the first
     listed, which makes the outcome deterministic for a fixed list.
     """
-    leads = [g.lead_term(order) for g in divisors]
-    quotients = [MultiPoly.zero(f.nvars) for _ in divisors]
+    rev_key = order.rev_key
+    reducers = []
+    for g in divisors:
+        lm, lc = g.lead_term(order)
+        reducers.append((lm, lc, [(e, c) for e, c in g.terms.items() if e != lm]))
+    quotients = [{} for _ in divisors]
     remainder: dict = {}
+    # work holds the pending terms; each of its monomials sits in the heap
+    # exactly once, because every term a step adds is smaller than the
+    # monomial just taken off.  A coefficient that cancels stays as 0.
     work = dict(f.terms)
-    while work:
-        exps = max(work, key=order.key)
+    heap = [(rev_key(e), e) for e in work]
+    heapify(heap)
+    while heap:
+        exps = heappop(heap)[1]
         coeff = work.pop(exps)
-        for i, (lm, lc) in enumerate(leads):
+        if not coeff:
+            continue
+        for (lm, lc, tail), quotient in zip(reducers, quotients):
             if mono_divides(lm, exps):
                 shift = mono_div(exps, lm)
                 factor = coeff / lc
-                quotients[i] = quotients[i] + MultiPoly.monomial(f.nvars, shift, factor)
-                for e2, c2 in divisors[i].terms.items():
-                    if e2 == lm:
-                        continue
+                quotient[shift] = factor
+                for e2, c2 in tail:
                     e = mono_mul(shift, e2)
-                    val = work.get(e, Fraction(0)) - factor * c2
-                    if val:
-                        work[e] = val
+                    old = work.get(e)
+                    if old is None:
+                        work[e] = -factor * c2
+                        heappush(heap, (rev_key(e), e))
                     else:
-                        work.pop(e, None)
+                        work[e] = old - factor * c2
                 break
         else:
-            remainder[exps] = remainder.get(exps, Fraction(0)) + coeff
-    return quotients, MultiPoly(f.nvars, remainder)
+            remainder[exps] = coeff
+    return ([MultiPoly._trusted(f.nvars, q) for q in quotients],
+            MultiPoly._trusted(f.nvars, remainder))
 
 
 def normal_form(f: MultiPoly, ideal: Ideal, order: MonomialOrder | None = None) -> MultiPoly:
@@ -200,8 +215,7 @@ def _monic(p: MultiPoly, order: MonomialOrder) -> MultiPoly:
 
 
 def _interreduce(polys: list, order: MonomialOrder) -> tuple:
-    """Minimalize then fully reduce; yields the unique reduced basis."""
-    polys = [_monic(p, order) for p in polys if not p.is_zero()]
+    """Minimalize then fully reduce monic polys; yields the unique reduced basis."""
     # minimal: drop any element whose lead is divisible by another lead
     minimal = []
     leads = [p.lead_term(order)[0] for p in polys]
@@ -214,22 +228,12 @@ def _interreduce(polys: list, order: MonomialOrder) -> tuple:
         )
         if not redundant:
             minimal.append(p)
-    # full tail reduction until stable
-    changed = True
-    while changed:
-        changed = False
-        for i in range(len(minimal)):
-            others = minimal[:i] + minimal[i + 1:]
-            if not others:
-                continue
-            _, reduced = divide(minimal[i], others, order)
-            if reduced != minimal[i]:
-                changed = True
-                if reduced.is_zero():
-                    minimal.pop(i)
-                else:
-                    minimal[i] = _monic(reduced, order)
-                break
+    # Tail reduction never changes a leading monomial, and no lead divides
+    # another, so one pass leaves every element reduced against the rest.
+    for i in range(len(minimal)):
+        others = minimal[:i] + minimal[i + 1:]
+        if others:
+            minimal[i] = divide(minimal[i], others, order)[1]
     return tuple(_canonical_sort(minimal, order))
 
 
@@ -240,17 +244,19 @@ def _reduced_groebner(generators: Sequence[MultiPoly], nvars: int,
     if not basis:
         return ()
     leads = [p.lead_term(order)[0] for p in basis]
+    pending = []  # heap of (order.key(lcm), i, j, lcm) with i < j
 
-    def lcm_key(i, j):
-        return (order.key(mono_lcm(leads[i], leads[j])), i, j)
+    def add_pairs(j):
+        for i in range(j):
+            lcm = mono_lcm(leads[i], leads[j])
+            heappush(pending, (order.key(lcm), i, j, lcm))
 
-    pending = {(i, j) for i in range(len(basis)) for j in range(i + 1, len(basis))}
+    for j in range(1, len(basis)):
+        add_pairs(j)
     done = set()
     while pending:
-        i, j = min(pending, key=lambda p: lcm_key(*p))
-        pending.discard((i, j))
+        _, i, j, lcm = heappop(pending)
         done.add((i, j))
-        lcm = mono_lcm(leads[i], leads[j])
         # coprime leads: the S-polynomial reduces to zero
         if lcm == mono_mul(leads[i], leads[j]):
             continue
@@ -272,9 +278,7 @@ def _reduced_groebner(generators: Sequence[MultiPoly], nvars: int,
         rem = _monic(rem, order)
         basis.append(rem)
         leads.append(rem.lead_term(order)[0])
-        new = len(basis) - 1
-        for k in range(new):
-            pending.add((k, new))
+        add_pairs(len(basis) - 1)
     return _interreduce(basis, order)
 
 

@@ -10,6 +10,7 @@ between ideals, foliations and reports.
 from __future__ import annotations
 
 from fractions import Fraction
+from operator import add, le, neg
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple  # tuple[int, ...]
@@ -18,12 +19,12 @@ Exponents = tuple  # tuple[int, ...]
 # ------------------------------------------------------------------ monomials
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(x + y for x, y in zip(a, b))
+    return tuple(map(add, a, b))
 
 
 def mono_divides(a: Exponents, b: Exponents) -> bool:
     """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
+    return all(map(le, a, b))
 
 
 def mono_div(a: Exponents, b: Exponents) -> Exponents:
@@ -46,11 +47,17 @@ class MonomialOrder:
 
     key(a) < key(b) exactly when a precedes b in the order, so the
     leading monomial of a polynomial is max(terms, key=order.key).
+    rev_key sorts the other way round (rev_key(a) < rev_key(b) exactly
+    when b precedes a), so a min-heap keyed by it pops the largest
+    monomial first.
     """
 
     name: str = "?"
 
     def key(self, exps: Exponents):
+        raise NotImplementedError
+
+    def rev_key(self, exps: Exponents):
         raise NotImplementedError
 
     def __repr__(self):
@@ -62,11 +69,19 @@ def _grevlex_key(exps: Exponents):
     return (sum(exps), tuple(-e for e in reversed(exps)))
 
 
+def _grevlex_rev_key(exps: Exponents):
+    # _grevlex_key with every entry negated
+    return (-sum(exps), exps[::-1])
+
+
 class GrevlexOrder(MonomialOrder):
     name = "grevlex"
 
     def key(self, exps):
         return _grevlex_key(exps)
+
+    def rev_key(self, exps):
+        return _grevlex_rev_key(exps)
 
 
 class LexOrder(MonomialOrder):
@@ -76,6 +91,9 @@ class LexOrder(MonomialOrder):
 
     def key(self, exps):
         return tuple(exps)
+
+    def rev_key(self, exps):
+        return tuple(map(neg, exps))
 
 
 class BlockOrder(MonomialOrder):
@@ -95,6 +113,9 @@ class BlockOrder(MonomialOrder):
     def key(self, exps):
         return (_grevlex_key(exps[: self.block]), _grevlex_key(exps[self.block:]))
 
+    def rev_key(self, exps):
+        return (_grevlex_rev_key(exps[: self.block]), _grevlex_rev_key(exps[self.block:]))
+
 
 GREVLEX = GrevlexOrder()
 LEX = LexOrder()
@@ -103,9 +124,15 @@ LEX = LexOrder()
 # ---------------------------------------------------------------- polynomials
 
 class MultiPoly:
-    """A polynomial in Q[x_0, ..., x_{nvars-1}] stored as {exponents: coeff}."""
+    """A polynomial in Q[x_0, ..., x_{nvars-1}] stored as {exponents: coeff}.
 
-    __slots__ = ("nvars", "terms", "_hash")
+    The constructor validates and normalizes its input.  Arithmetic
+    results are built with `_trusted`, which skips that work: they are
+    normalized by construction (exponent tuples of length nvars, every
+    coefficient a nonzero Fraction).
+    """
+
+    __slots__ = ("nvars", "terms", "_hash", "_lead")
 
     def __init__(self, nvars: int, terms: Mapping[Exponents, Fraction] | Iterable = ()):
         self.nvars = nvars
@@ -121,6 +148,17 @@ class MultiPoly:
             clean[exps] = clean.get(exps, Fraction(0)) + c
         self.terms = {e: c for e, c in clean.items() if c != 0}
         self._hash = None
+        self._lead = None
+
+    @classmethod
+    def _trusted(cls, nvars: int, terms: dict) -> "MultiPoly":
+        """Wrap an already normalized term dict, which the result then owns."""
+        p = object.__new__(cls)
+        p.nvars = nvars
+        p.terms = terms
+        p._hash = None
+        p._lead = None
+        return p
 
     # -- constructors ------------------------------------------------------
 
@@ -163,11 +201,19 @@ class MultiPoly:
         return self.terms.get((0,) * self.nvars, Fraction(0))
 
     def lead_term(self, order: MonomialOrder = GREVLEX):
-        """(exponents, coefficient) of the leading term.  Errors on zero."""
+        """(exponents, coefficient) of the leading term.  Errors on zero.
+
+        The result is kept for the order last asked for (by name).
+        """
+        lead = self._lead
+        if lead is not None and lead[0] == order.name:
+            return lead[1]
         if not self.terms:
             raise ValueError("zero polynomial has no leading term")
         exps = max(self.terms, key=order.key)
-        return exps, self.terms[exps]
+        term = (exps, self.terms[exps])
+        self._lead = (order.name, term)
+        return term
 
     def sorted_terms(self, order: MonomialOrder = GREVLEX, reverse: bool = True):
         return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
@@ -189,13 +235,18 @@ class MultiPoly:
             return NotImplemented
         terms = dict(self.terms)
         for e, c in other.terms.items():
-            terms[e] = terms.get(e, Fraction(0)) + c
-        return MultiPoly(self.nvars, terms)
+            if e in terms:
+                c += terms[e]
+                if not c:
+                    del terms[e]
+                    continue
+            terms[e] = c
+        return MultiPoly._trusted(self.nvars, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return MultiPoly(self.nvars, {e: -c for e, c in self.terms.items()})
+        return MultiPoly._trusted(self.nvars, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         other = self._coerce(other)
@@ -212,7 +263,9 @@ class MultiPoly:
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
             c = Fraction(other)
-            return MultiPoly(self.nvars, {e: k * c for e, k in self.terms.items()})
+            if not c:
+                return MultiPoly._trusted(self.nvars, {})
+            return MultiPoly._trusted(self.nvars, {e: k * c for e, k in self.terms.items()})
         other = self._coerce(other)
         if other is None:
             return NotImplemented
@@ -220,8 +273,9 @@ class MultiPoly:
         for e1, c1 in self.terms.items():
             for e2, c2 in other.terms.items():
                 e = mono_mul(e1, e2)
-                terms[e] = terms.get(e, Fraction(0)) + c1 * c2
-        return MultiPoly(self.nvars, terms)
+                old = terms.get(e)
+                terms[e] = c1 * c2 if old is None else old + c1 * c2
+        return MultiPoly._trusted(self.nvars, {e: c for e, c in terms.items() if c})
 
     __rmul__ = __mul__
 
@@ -349,6 +403,9 @@ def linear_substitute(f: MultiPoly, matrix: Sequence[Sequence]) -> MultiPoly:
 
 # deepest nesting of parentheses and unary minus signs parse_polynomial accepts
 MAX_NESTING = 100
+# highest degree of a product or power parse_polynomial expands; far above
+# any foliation degree Buchberger can handle here
+MAX_DEGREE = 50
 
 
 class _Scanner:
@@ -396,7 +453,9 @@ def parse_polynomial(text: str, names: Sequence[str]) -> MultiPoly:
 
     Multiplication is explicit (write 2*x, not 2x).  Raises ValueError
     with a position on malformed input, including parentheses and unary
-    minus signs nested more than MAX_NESTING deep.
+    minus signs nested more than MAX_NESTING deep and any product or
+    power of degree above MAX_DEGREE, which is refused before it is
+    expanded.
     """
     nvars = len(names)
     index = {name: i for i, name in enumerate(names)}
@@ -431,18 +490,26 @@ def parse_polynomial(text: str, names: Sequence[str]) -> MultiPoly:
             else:
                 return total
 
+    def within_budget(degree: int):
+        if degree > MAX_DEGREE:
+            sc.error(f"degree {degree} above {MAX_DEGREE}")
+
     def parse_term() -> MultiPoly:
         p = parse_factor()
         while sc.peek() == "*":
             sc.take()
-            p = p * parse_factor()
+            q = parse_factor()
+            within_budget(p.total_degree() + q.total_degree())
+            p = p * q
         return p
 
     def parse_factor() -> MultiPoly:
         base = parse_atom()
         if sc.peek() == "^":
             sc.take()
-            return base ** sc.integer()
+            k = sc.integer()
+            within_budget(base.total_degree() * k)
+            return base ** k
         return base
 
     def parse_atom() -> MultiPoly:

@@ -1,10 +1,14 @@
 """Brute-force cross-checks, kept independent of the package internals.
 
-Everything here is dense linear algebra over Fraction on truncated
-monomial bases: slow and obviously correct.  No Groebner machinery.
+Everything here is slow and obviously correct: dense linear algebra over
+Fraction on truncated monomial bases, and textbook multivariate division
+on plain dicts whose results go through the validating MultiPoly
+constructor.  No Groebner machinery.
 """
 
 from fractions import Fraction
+
+from logfol.polynomials import MultiPoly
 
 
 def monomials_upto(nvars: int, degree: int) -> list:
@@ -135,3 +139,39 @@ def brute_contains(gens, f, max_degree: int = 10) -> bool:
         if not any(ech.reduce(frow)):
             return True
     return False
+
+
+def reference_divide(f, divisors, order):
+    """Textbook division: (quotients, remainder), first listed divisor first.
+
+    Takes the largest remaining monomial by a full max at every step.
+    """
+    nvars = f.nvars
+    leads = []
+    for g in divisors:
+        lm = max(g.terms, key=order.key)
+        leads.append((lm, g.terms[lm]))
+    quotients = [{} for _ in divisors]
+    remainder = {}
+    work = dict(f.terms)
+    while work:
+        exps = max(work, key=order.key)
+        coeff = work.pop(exps)
+        for i, (lm, lc) in enumerate(leads):
+            if all(a <= b for a, b in zip(lm, exps)):
+                shift = tuple(b - a for a, b in zip(lm, exps))
+                factor = coeff / lc
+                quotients[i][shift] = quotients[i].get(shift, Fraction(0)) + factor
+                for e2, c2 in divisors[i].terms.items():
+                    if e2 == lm:
+                        continue
+                    e = tuple(a + b for a, b in zip(shift, e2))
+                    val = work.get(e, Fraction(0)) - factor * c2
+                    if val:
+                        work[e] = val
+                    else:
+                        work.pop(e, None)
+                break
+        else:
+            remainder[exps] = remainder.get(exps, Fraction(0)) + coeff
+    return [MultiPoly(nvars, q) for q in quotients], MultiPoly(nvars, remainder)

@@ -8,6 +8,7 @@ import pytest
 
 from logfol.cli import main, parse_spec
 from logfol.errors import InputError
+from logfol.polynomials import MAX_DEGREE
 
 TRIANGLE = {
     "n": 2,
@@ -152,6 +153,18 @@ def test_deep_nesting_exits_two(tmp_path, capsys):
     doc = dict(TRIANGLE, foliation=["0", f"{deep}*(z1 - z0)", "z2*(z2 - z0)"])
     assert main(["chern", write_doc(tmp_path, doc)]) == 2
     assert capsys.readouterr().err.startswith("error SYNTAX_ERROR: foliation[1]:")
+
+
+@pytest.mark.parametrize("component", [
+    "(z0 + z1)^400", f"z1^{MAX_DEGREE}*z2", f"(z1^2)^{MAX_DEGREE // 2 + 1}",
+    f"z1^10*(z1 + z2)^{MAX_DEGREE - 9}",
+])
+def test_degree_over_budget_exits_two(tmp_path, capsys, component):
+    doc = dict(TRIANGLE, foliation=["0", component, "z2*(z2 - z0)"])
+    assert main(["chern", write_doc(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error SYNTAX_ERROR: foliation[1]:")
+    assert f"above {MAX_DEGREE}" in err
 
 
 def test_missing_file_exits_two(capsys):

@@ -9,6 +9,7 @@ from hypothesis import strategies as st
 from logfol.groebner import (
     INFINITE,
     Ideal,
+    _reduced_groebner,
     buchberger,
     colon_by_ideal,
     divide,
@@ -25,13 +26,14 @@ from logfol.foliations import Foliation
 from logfol.polynomials import (
     GREVLEX,
     LEX,
+    BlockOrder,
     MultiPoly,
     format_poly,
     linear_substitute,
     parse_polynomial,
 )
 
-from oracles import brute_contains, brute_quotient_dimension
+from oracles import brute_contains, brute_quotient_dimension, reference_divide
 
 XY = ["x", "y"]
 XYZ = ["x", "y", "z"]
@@ -312,6 +314,35 @@ def test_supported_length_matches_saturation_on_lotka_volterra(n, d, seed, shear
         assert supported_length(I, locus) == saturation_length(I, locus)
 
 
+def sympy_reduced_basis(sympy, gens, nvars):
+    """sympy's monic reduced grevlex basis, as a set of MultiPoly."""
+    xs = sympy.symbols(f"x0:{nvars}")
+    exprs = [sum(sympy.Rational(c.numerator, c.denominator) *
+                 sympy.Mul(*[x ** k for x, k in zip(xs, e)]) for e, c in g.terms.items())
+             for g in gens]
+    basis = sympy.groebner(exprs, *xs, order="grevlex", domain="QQ")
+    return {MultiPoly(nvars, {e: Fraction(int(c.p), int(c.q))
+                              for e, c in sympy.Poly(g, *xs).terms()})
+            for g in basis.exprs}
+
+
+@pytest.mark.parametrize("n,d,seed", [
+    (2, 2, None), (2, 3, 1), (2, 3, 2), (2, 3, 3), (3, 2, 1), (3, 2, 2), (3, 2, 3),
+])
+def test_reduced_basis_matches_sympy(n, d, seed):
+    sympy = pytest.importorskip("sympy")
+    if seed is None:  # the README triangle
+        names = ["z0", "z1", "z2"]
+        fol = Foliation([poly(t, names) for t in ["0", "z1*(z1 - z0)", "z2*(z2 - z0)"]])
+    else:
+        fol = lotka_volterra(n, d, seed)
+    for I, locus in chart_loci(fol, coordinate_forms(n)):
+        gens = list(I.generators) + locus
+        ours = _reduced_groebner(gens, n, GREVLEX)
+        assert len(ours) == len(set(ours))
+        assert set(ours) == sympy_reduced_basis(sympy, gens, n)
+
+
 @pytest.mark.parametrize("texts,locus,expected", [
     (["x^2 - 2", "y^2 - 3"], ["x^2 - 2"], 4),
     (["x^2 - 2", "y^2 - 3"], ["x - y"], 0),
@@ -360,3 +391,21 @@ def test_saturation_contains_ideal(gens):
     S = saturate(I, ideal(["x", "y"]))
     for f in gens:
         assert normal_form(f, S).is_zero()
+
+
+def polys3(max_size):
+    terms = st.dictionaries(st.tuples(*[st.integers(0, 3)] * 3),
+                            st.builds(Fraction, st.integers(-4, 4), st.integers(1, 3)),
+                            max_size=max_size)
+    return terms.map(lambda d: MultiPoly(3, d))
+
+
+@given(polys3(8), st.lists(polys3(4).filter(lambda g: not g.is_zero()),
+                           min_size=1, max_size=4))
+@settings(max_examples=80, deadline=None)
+def test_divide_matches_reference_division(f, divisors):
+    for order in (GREVLEX, LEX, BlockOrder(1)):
+        # products make remainders and quotients in several divisors likely
+        dividend = f + divisors[0] * divisors[-1]
+        assert divide(dividend, divisors, order) == \
+            reference_divide(dividend, divisors, order)

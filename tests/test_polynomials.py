@@ -4,9 +4,11 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logfol.groebner import divide
 from logfol.polynomials import (
     GREVLEX,
     LEX,
+    MAX_DEGREE,
     MAX_NESTING,
     BlockOrder,
     MultiPoly,
@@ -68,6 +70,19 @@ def test_parse_nesting_is_bounded():
                  "-" * 3000 + "x",
                  "-(" * 3000 + "x" + ")" * 3000]:
         with pytest.raises(ValueError, match="nested"):
+            poly(text)
+
+
+def test_parse_degree_is_bounded():
+    assert poly(f"x^{MAX_DEGREE}") == MultiPoly.monomial(2, (MAX_DEGREE, 0))
+    assert poly(f"x^{MAX_DEGREE - 1}*y").total_degree() == MAX_DEGREE
+    # constants and zero add no degree
+    assert poly(f"2^{MAX_DEGREE + 1}*x") == poly(f"{2 ** (MAX_DEGREE + 1)}*x")
+    assert poly(f"0^{MAX_DEGREE + 1}*x^{MAX_DEGREE}").is_zero()
+    for text in [f"x^{MAX_DEGREE + 1}", f"(x + y)^{4 * MAX_DEGREE}",
+                 f"x^{MAX_DEGREE}*y", f"(x*y)^{MAX_DEGREE // 2 + 1}",
+                 f"(x^{MAX_DEGREE})^2", "x^99999999999999999999"]:
+        with pytest.raises(ValueError, match=f"above {MAX_DEGREE}"):
             poly(text)
 
 
@@ -210,7 +225,36 @@ def test_linear_substitute_is_a_ring_map(a, b):
 @settings(max_examples=60, deadline=None)
 def test_orders_are_multiplicative(a, b, m):
     for order in (GREVLEX, LEX, BlockOrder(1)):
+        assert (order.rev_key(a) < order.rev_key(b)) == (order.key(b) < order.key(a))
         if order.key(a) < order.key(b):
             shifted_a = tuple(i + j for i, j in zip(a, m))
             shifted_b = tuple(i + j for i, j in zip(b, m))
             assert order.key(shifted_a) < order.key(shifted_b)
+
+
+def assert_normalized(p):
+    # arithmetic builds results without the validating constructor
+    assert all(type(c) is Fraction and c != 0 for c in p.terms.values())
+    again = MultiPoly(p.nvars, p.terms)
+    assert p.terms == again.terms
+    assert p == again and hash(p) == hash(again)
+
+
+def cancelling_polys(nvars=2):
+    # few monomials and small coefficients, so sums and products cancel often
+    return st.dictionaries(exponents(nvars, 2), st.integers(-2, 2), max_size=5).map(
+        lambda d: MultiPoly(nvars, d))
+
+
+@given(cancelling_polys(), cancelling_polys(), cancelling_polys(),
+       st.one_of(st.integers(-2, 2), fractions()), st.integers(0, 3))
+@settings(max_examples=100, deadline=None)
+def test_arithmetic_results_are_normalized(a, b, c, scalar, k):
+    results = [a + b, a - b, b - a, a - a, -a, a * b, (a + b) * (a - b), a ** k,
+               a * scalar, scalar * a, a + scalar, scalar - a]
+    for order in (GREVLEX, LEX, BlockOrder(1)):
+        divisors = [g for g in (b, c) if not g.is_zero()]
+        quotients, remainder = divide(a * b + c, divisors, order)
+        results += quotients + [remainder]
+    for p in results:
+        assert_normalized(p)

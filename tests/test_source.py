@@ -1,6 +1,7 @@
 """Source-level rules for the runtime package."""
 
 import ast
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,3 +15,16 @@ def test_no_assert_statements(path):
     tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
     lines = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Assert)]
     assert not lines, f"{path.name}: assert statement on lines {lines}"
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_runtime_imports_only_the_standard_library(path):
+    # the runtime is pure stdlib; relative imports stay inside the package
+    tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+    names = [alias.name for node in ast.walk(tree) if isinstance(node, ast.Import)
+             for alias in node.names]
+    names += [node.module for node in ast.walk(tree)
+              if isinstance(node, ast.ImportFrom) and node.level == 0]
+    outside = sorted({name for name in names
+                      if name.split(".")[0] not in sys.stdlib_module_names})
+    assert not outside, f"{path.name}: imports outside the standard library: {outside}"
