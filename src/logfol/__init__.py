@@ -8,154 +8,24 @@ over the singular points.  This package computes both sides with exact
 rational arithmetic, each by an independent route, and exposes the
 local index machinery (Milnor numbers, logarithmic and homological
 indices) on top of a small Groebner engine.
+
+The package root holds the entry points only; everything else is
+imported from its module (`logfol.indices`, `logfol.groebner`, ...).
 """
 
-from .chern import (
-    ChernInput,
-    TruncatedSeries,
-    chern_log_tangent,
-    closed_form_sigma,
-    complete_homogeneous,
-    lhs_integral,
-    recursion_check,
-    series_inverse,
-    sigma_convention_note,
-)
-from .cli import ProblemSpec, main, parse_spec
-from .errors import (
-    DEGREE_MISMATCH,
-    NC_VIOLATION,
-    NOT_LOGARITHMIC,
-    POSITIVE_DIM_SING,
-    SYNTAX_ERROR,
-    InputError,
-)
-from .foliations import (
-    AffineField,
-    Arrangement,
-    Foliation,
-    Instance,
-    Stratum,
-    Violation,
-    ambient_names,
-    build_stratum,
-    is_logarithmic,
-    require_logarithmic,
-    restrict_to_stratum,
-    validate_arrangement,
-)
-from .groebner import (
-    INFINITE,
-    Ideal,
-    buchberger,
-    colon_by_ideal,
-    divide,
-    ideal_quotient,
-    intersect,
-    normal_form,
-    quotient_dimension,
-    saturate,
-    staircase,
-)
-from .indices import (
-    IndexReport,
-    PointRecord,
-    RationalPoint,
-    StratumTotal,
-    complement_milnor_sum,
-    germ_hom_index,
-    germ_log_index,
-    germ_milnor,
-    hom_index_at_point,
-    log_index_at_point,
-    milnor_at_maximal_ideal,
-    milnor_at_point,
-    milnor_oracle,
-    point_milnor,
-    point_record,
-    rhs_total,
-    stratum_breakdown,
-    total_milnor,
-    verify_instance,
-)
-from .polynomials import (
-    GREVLEX,
-    LEX,
-    BlockOrder,
-    MultiPoly,
-    format_poly,
-    linear_substitute,
-    parse_polynomial,
-)
+from .cli import main, parse_spec
+from .errors import InputError
+from .foliations import Arrangement, Foliation, Instance
+from .indices import verify_instance
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AffineField",
     "Arrangement",
-    "BlockOrder",
-    "ChernInput",
-    "DEGREE_MISMATCH",
     "Foliation",
-    "GREVLEX",
-    "INFINITE",
-    "Ideal",
-    "IndexReport",
     "InputError",
     "Instance",
-    "LEX",
-    "MultiPoly",
-    "NC_VIOLATION",
-    "NOT_LOGARITHMIC",
-    "POSITIVE_DIM_SING",
-    "PointRecord",
-    "ProblemSpec",
-    "RationalPoint",
-    "Stratum",
-    "StratumTotal",
-    "SYNTAX_ERROR",
-    "TruncatedSeries",
-    "Violation",
-    "ambient_names",
-    "buchberger",
-    "build_stratum",
-    "chern_log_tangent",
-    "closed_form_sigma",
-    "colon_by_ideal",
-    "complement_milnor_sum",
-    "complete_homogeneous",
-    "divide",
-    "format_poly",
-    "germ_hom_index",
-    "germ_log_index",
-    "germ_milnor",
-    "hom_index_at_point",
-    "ideal_quotient",
-    "intersect",
-    "is_logarithmic",
-    "lhs_integral",
-    "linear_substitute",
-    "log_index_at_point",
     "main",
-    "milnor_at_maximal_ideal",
-    "milnor_at_point",
-    "milnor_oracle",
-    "normal_form",
-    "parse_polynomial",
     "parse_spec",
-    "point_milnor",
-    "point_record",
-    "quotient_dimension",
-    "recursion_check",
-    "require_logarithmic",
-    "restrict_to_stratum",
-    "rhs_total",
-    "saturate",
-    "series_inverse",
-    "sigma_convention_note",
-    "staircase",
-    "stratum_breakdown",
-    "total_milnor",
-    "validate_arrangement",
     "verify_instance",
 ]

@@ -31,7 +31,7 @@ from .errors import (
     InputError,
 )
 from .groebner import INFINITE, Ideal, buchberger, divide, quotient_dimension
-from .polynomials import GREVLEX, MultiPoly, format_poly
+from .polynomials import GREVLEX, MultiPoly, format_poly, linear_images
 
 
 def ambient_names(n: int) -> list:
@@ -178,20 +178,8 @@ def _form_vector(form: MultiPoly) -> list:
             for i in range(n)]
 
 
-@dataclass(frozen=True)
-class Violation:
-    """A subset of hyperplanes witnessing a normal-crossing failure."""
-
-    indices: tuple
-
-    def describe(self) -> str:
-        subset = ", ".join(str(i) for i in self.indices)
-        return (f"hyperplanes {{{subset}}} are linearly dependent but meet "
-                "in projective space")
-
-
 def validate_arrangement(arr: Arrangement):
-    """None when the arrangement is normal crossing, else a Violation.
+    """Raise NC_VIOLATION unless the arrangement is normal crossing.
 
     Dependent subsets of size <= n+1 always share a projective point, so
     checking linear independence of every such subset is exactly the
@@ -204,34 +192,39 @@ def validate_arrangement(arr: Arrangement):
     for size in range(2, min(k, arr.n + 1) + 1):
         for subset in combinations(range(k), size):
             if linalg.rank([vectors[i] for i in subset]) < size:
-                return Violation(indices=subset)
-    return None
+                listed = ", ".join(str(i) for i in subset)
+                raise InputError(NC_VIOLATION,
+                                 f"hyperplanes {{{listed}}} are linearly dependent "
+                                 "but meet in projective space")
+
+
+def is_invariant(components: Sequence[MultiPoly], form: MultiPoly) -> bool:
+    """True when the hyperplane {form = 0} is invariant for the field.
+
+    The derivative of the (affine-)linear form along the field is
+    sum_i P_i * a_i for its linear coefficients a_i; invariance is
+    divisibility by the form.
+    """
+    along = MultiPoly.zero(form.nvars)
+    for a, p in zip(_form_vector(form), components):
+        if a:
+            along = along + p * a
+    return along.is_zero() or divide(along, [form], GREVLEX)[1].is_zero()
 
 
 def is_logarithmic(fol: Foliation, form: MultiPoly) -> bool:
-    """True when the hyperplane {form = 0} is invariant for the foliation.
-
-    The derivative of the form along the field is sum_i P_i * a_i for
-    linear coefficients a_i; invariance is divisibility by the form.
-    """
+    """True when the hyperplane {form = 0} is invariant for the foliation."""
     if form.nvars != fol.n + 1 or form.total_degree() != 1 or not form.is_homogeneous():
         raise ValueError("expected a nonzero linear form in the ambient ring")
-    vec = _form_vector(form)
-    along = MultiPoly.zero(fol.n + 1)
-    for a, p in zip(vec, fol.components):
-        if a:
-            along = along + p * a
-    if along.is_zero():
-        return True
-    return divide(along, [form], GREVLEX)[1].is_zero()
+    return is_invariant(fol.components, form)
 
 
-def require_logarithmic(fol: Foliation, arr: Arrangement, indices=None):
+def require_logarithmic(fol: Foliation, arr: Arrangement):
     """Raise NOT_LOGARITHMIC naming the first non-invariant hyperplane."""
     names = ambient_names(arr.n)
-    for i in (range(len(arr.forms)) if indices is None else indices):
-        if not is_logarithmic(fol, arr.forms[i]):
-            text = format_poly(arr.forms[i], names)
+    for i, form in enumerate(arr.forms):
+        if not is_logarithmic(fol, form):
+            text = format_poly(form, names)
             raise InputError(NOT_LOGARITHMIC,
                              f"hyperplane {i} ({text}) is not invariant")
 
@@ -240,12 +233,13 @@ def require_logarithmic(fol: Foliation, arr: Arrangement, indices=None):
 
 @dataclass(frozen=True)
 class Stratum:
-    """An intersection of arrangement hyperplanes with its parametrization.
+    """An intersection of hyperplanes with its parametrization.
 
     `change` is an invertible matrix whose last rows are the chosen
     forms; in the new coordinates w = change . z the stratum is the
     vanishing of the trailing coordinates, and the leading m+1 of them
-    parametrize it as a P^m.
+    parametrize it as a P^m (or, for an affine germ's forms through the
+    origin, as affine (m+1)-space).
     """
 
     indices: tuple
@@ -271,73 +265,56 @@ class Stratum:
         return tuple(linalg.mat_vec(self.inverse, full))
 
 
-def build_stratum(arr: Arrangement, indices: Sequence[int]) -> Stratum:
+def build_stratum(forms: Sequence[MultiPoly], indices: Sequence[int],
+                  nvars: int) -> Stratum:
+    """The intersection of the linear forms forms[i], i in indices.
+
+    The forms live in `nvars` variables; no index gives the whole space,
+    with the identity change of coordinates.
+    """
     indices = tuple(sorted(indices))
-    vectors = [_form_vector(arr.forms[i]) for i in indices]
+    if len(set(indices)) != len(indices):
+        raise ValueError("repeated hyperplane index")
+    vectors = [_form_vector(forms[i]) for i in indices]
     if linalg.rank(vectors) != len(vectors):
         raise InputError(NC_VIOLATION,
                          f"hyperplanes {indices} do not meet transversally")
     if vectors:
         change = linalg.complete_to_square(vectors)
     else:
-        change = [[Fraction(1 if i == j else 0) for j in range(arr.n + 1)]
-                  for i in range(arr.n + 1)]
+        change = [[Fraction(1 if i == j else 0) for j in range(nvars)]
+                  for i in range(nvars)]
     inverse = linalg.invert(change)
     return Stratum(indices=indices,
                    change=tuple(tuple(row) for row in change),
                    inverse=tuple(tuple(row) for row in inverse))
 
 
-def restrict_to_stratum(fol: Foliation, arr: Arrangement,
-                        indices: Sequence[int]):
-    """Restrict to the stratum cut out by the given hyperplanes.
+def restrict_field(components: Sequence[MultiPoly], stratum: Stratum) -> tuple:
+    """The field components restricted to a stratum, in its coordinates.
 
-    Returns (restriction, stratum); the restriction is None exactly when
-    the restricted tuple is identically zero (which a foliation with
-    isolated singularities never produces).  Requires every chosen
-    hyperplane to be invariant and the stratum to have dimension >= 1.
+    Substitutes z = inverse . w, combines the results by the rows of
+    `change` and keeps the leading dim+1 of them with the trailing
+    coordinates set to 0.  Tangency makes the dropped components vanish
+    on the stratum; NOT_LOGARITHMIC otherwise.  The whole space (no
+    index) returns the components unchanged.
     """
-    indices = tuple(sorted(indices))
-    require_logarithmic(fol, arr, indices)
-    components, stratum = _restricted_components(fol, arr, indices)
-    if not indices:
-        return fol, stratum
-    return (None if components is None else Foliation(components)), stratum
-
-
-def _restricted_components(fol: Foliation, arr: Arrangement, indices: tuple):
-    # restrict_to_stratum without the invariance check and without building
-    # the restricted Foliation: (components or None, stratum) for sorted indices
-    if len(set(indices)) != len(indices):
-        raise ValueError("repeated hyperplane index")
-    stratum = build_stratum(arr, indices)
-    m = stratum.dim
-    if m < 1 and indices:
-        raise ValueError("stratum is a point; use the point conventions instead")
-    if not indices:
-        return fol.components, stratum
-
-    n = fol.n
-    # images of the old variables in the new coordinates: z = inverse . w
-    images = [MultiPoly(n + 1, {tuple(1 if c == j else 0 for c in range(n + 1)):
-                                stratum.inverse[i][j]
-                                for j in range(n + 1) if stratum.inverse[i][j] != 0})
-              for i in range(n + 1)]
-    transformed = [p.compose(images) for p in fol.components]
-    new_components = []
+    components = tuple(components)
+    if not stratum.indices:
+        return components
+    keep = stratum.dim + 1
+    images = linear_images(stratum.inverse)
+    transformed = [p.compose(images) for p in components]
+    combined = []
     for row in stratum.change:
-        q = MultiPoly.zero(n + 1)
+        q = MultiPoly.zero(len(row))
         for coeff, p in zip(row, transformed):
             if coeff:
                 q = q + p * coeff
-        new_components.append(q)
-    # tangency makes the trailing components vanish on the stratum
-    if any(not q.set_trailing_zero(m + 1).is_zero() for q in new_components[m + 1:]):
-        raise InputError(NOT_LOGARITHMIC, f"stratum {indices} is not invariant")
-    restricted = tuple(q.set_trailing_zero(m + 1) for q in new_components[: m + 1])
-    if all(r.is_zero() for r in restricted):
-        return None, stratum
-    return restricted, stratum
+        combined.append(q.set_trailing_zero(keep))
+    if any(not q.is_zero() for q in combined[keep:]):
+        raise InputError(NOT_LOGARITHMIC, f"stratum {stratum.indices} is not invariant")
+    return tuple(combined[:keep])
 
 
 # ----------------------------------------------------------------- instance
@@ -357,9 +334,7 @@ class Instance:
     def __init__(self, fol: Foliation, arr: Arrangement):
         if arr.n != fol.n:
             raise ValueError("foliation and arrangement live in different spaces")
-        violation = validate_arrangement(arr)
-        if violation is not None:
-            raise InputError(NC_VIOLATION, violation.describe())
+        validate_arrangement(arr)
         require_logarithmic(fol, arr)
         self.fol = fol
         self.arr = arr
@@ -373,8 +348,11 @@ class Instance:
         """
         indices = tuple(sorted(indices))
         if indices not in self._restrictions:
-            restricted, stratum = _restricted_components(self.fol, self.arr, indices)
-            if restricted is None:
+            stratum = build_stratum(self.arr.forms, indices, self.fol.n + 1)
+            if stratum.dim < 1:
+                raise ValueError("stratum is a point; use the point conventions instead")
+            restricted = restrict_field(self.fol.components, stratum)
+            if all(r.is_zero() for r in restricted):
                 raise InputError(POSITIVE_DIM_SING,
                                  f"restriction to stratum {indices} vanishes")
             if restricted not in self._foliations:

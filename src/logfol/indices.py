@@ -25,17 +25,24 @@ from typing import Sequence
 from . import linalg
 from .chern import ChernInput, lhs_integral
 from .errors import NC_VIOLATION, NOT_LOGARITHMIC, InputError
-from .foliations import Arrangement, Foliation, Instance, _form_vector
+from .foliations import (
+    Arrangement,
+    Foliation,
+    Instance,
+    _form_vector,
+    build_stratum,
+    is_invariant,
+    restrict_field,
+)
 from .groebner import (
     INFINITE,
     Ideal,
     buchberger,
-    divide,
     quotient_dimension,
     saturate,
     supported_length,
 )
-from .polynomials import GREVLEX, MultiPoly
+from .polynomials import MultiPoly
 
 
 # ------------------------------------------------------------------- points
@@ -169,18 +176,26 @@ def log_index_at_point(inst: Instance, point: RationalPoint) -> int:
     """
     if not is_singular_point(inst.fol, point):
         return 0
-    through = components_through(inst.arr, point)
-    n = inst.fol.n
+
+    def milnor(subset):
+        restricted, stratum = inst.restriction(subset)
+        return point_milnor(restricted,
+                            RationalPoint(stratum.ambient_to_stratum(point.coords)))
+
+    return _alternating_sum(components_through(inst.arr, point), inst.fol.n, milnor)
+
+
+def _alternating_sum(through: Sequence[int], n: int, milnor) -> int:
+    """Sum of (-1)^|S| milnor(S) over the subsets S of `through`.
+
+    Called at a singular point in dimension n: the n hyperplanes of a
+    point stratum contribute 1 there instead of a Milnor number.
+    """
     total = 0
     for size in range(len(through) + 1):
+        sign = -1 if size % 2 else 1
         for subset in combinations(through, size):
-            sign = -1 if size % 2 else 1
-            if size == n:
-                total += sign  # point stratum; p is singular here
-                continue
-            restricted, stratum = inst.restriction(subset)
-            sp = RationalPoint(stratum.ambient_to_stratum(point.coords))
-            total += sign * point_milnor(restricted, sp)
+            total += sign * (1 if size == n else milnor(subset))
     return total
 
 
@@ -295,66 +310,30 @@ def germ_log_index(components: Sequence[MultiPoly], forms: Sequence[MultiPoly],
 
     `forms` are affine-linear; only those vanishing at the point enter.
     Each of them must be invariant: the derivative of the form along the
-    field has to be divisible by the form.
+    field has to be divisible by the form.  The germ is moved to the
+    origin, where those forms are linear, and restricted to their strata
+    like a projective foliation.
     """
     components = list(components)
     n = components[0].nvars
     point = [Fraction(c) for c in point]
-    through = []
-    for f in forms:
-        if f.total_degree() != 1:
-            raise ValueError("divisor components must be affine-linear")
-        if f.evaluate(point) == 0:
-            through.append(f)
-    for f in through:
-        along = MultiPoly.zero(n)
-        for a, v in zip(_form_vector(f), components):
-            if a:
-                along = along + v * a
-        if not (along.is_zero() or divide(along, [f], GREVLEX)[1].is_zero()):
-            raise InputError(NOT_LOGARITHMIC,
-                             "germ is not tangent to one of the divisor components")
-    singular_here = all(v.evaluate(point) == 0 for v in components)
-    total = 0
-    for size in range(len(through) + 1):
-        for subset in combinations(range(len(through)), size):
-            sign = -1 if size % 2 else 1
-            if size == n:
-                total += sign * (1 if singular_here else 0)
-                continue
-            restricted, origin = _restrict_germ(components, [through[i] for i in subset],
-                                                point)
-            total += sign * germ_milnor(restricted, origin)
-    return total
+    if any(f.total_degree() != 1 for f in forms):
+        raise ValueError("divisor components must be affine-linear")
+    through = [f for f in forms if f.evaluate(point) == 0]
+    if not all(is_invariant(components, f) for f in through):
+        raise InputError(NOT_LOGARITHMIC,
+                         "germ is not tangent to one of the divisor components")
+    if any(v.evaluate(point) for v in components):
+        return 0
+    shift = [MultiPoly.variable(n, i) + point[i] for i in range(n)]
+    field = [v.compose(shift) for v in components]
+    linear = [f.compose(shift) for f in through]
 
+    def milnor(subset):
+        restricted = restrict_field(field, build_stratum(linear, subset, n))
+        return germ_milnor(restricted, [0] * len(restricted))
 
-def _restrict_germ(components, chosen, point):
-    """Restrict an affine germ to the intersection of invariant hyperplanes.
-
-    Moves the point to the origin, sends the chosen forms to the
-    trailing coordinates, and drops those directions.
-    """
-    n = components[0].nvars
-    if not chosen:
-        return list(components), list(point)
-    rows = [_form_vector(f) for f in chosen]
-    change = linalg.complete_to_square(rows)
-    inverse = linalg.invert(change)
-    # x = point + inverse . u
-    images = [MultiPoly.constant(n, point[i]) +
-              MultiPoly(n, {tuple(1 if c == j else 0 for c in range(n)): inverse[i][j]
-                            for j in range(n) if inverse[i][j] != 0})
-              for i in range(n)]
-    transformed = [v.compose(images) for v in components]
-    keep = n - len(chosen)
-    restricted = []
-    for row in change[:keep]:
-        w = MultiPoly.zero(n)
-        for a, v in zip(row, transformed):
-            if a:
-                w = w + v * a
-        restricted.append(w.set_trailing_zero(keep))
-    return restricted, [Fraction(0)] * keep
+    return _alternating_sum(range(len(linear)), n, milnor)
 
 
 def germ_hom_index(components: Sequence[MultiPoly], forms: Sequence[MultiPoly],

@@ -10,6 +10,7 @@ between ideals, foliations and reports.
 from __future__ import annotations
 
 from fractions import Fraction
+from math import comb, lcm
 from operator import add, le, neg
 from typing import Iterable, Mapping, Sequence
 
@@ -391,12 +392,15 @@ def linear_substitute(f: MultiPoly, matrix: Sequence[Sequence]) -> MultiPoly:
         raise ValueError("matrix shape does not match the ring")
     if linalg.rank(rows) != n:
         raise ValueError("substitution matrix is singular")
-    images = [
-        MultiPoly(n, {tuple(1 if j == k else 0 for k in range(n)): rows[i][j]
-                      for j in range(n) if rows[i][j] != 0})
-        for i in range(n)
-    ]
-    return f.compose(images)
+    return f.compose(linear_images(rows))
+
+
+def linear_images(matrix: Sequence[Sequence]) -> list:
+    """The images of the variables under x -> M.x: one linear form per row."""
+    n = len(matrix)
+    return [MultiPoly(n, {tuple(1 if j == k else 0 for k in range(n)): row[j]
+                          for j in range(n) if row[j] != 0})
+            for row in matrix]
 
 
 # ------------------------------------------------------------------- parsing
@@ -406,6 +410,13 @@ MAX_NESTING = 100
 # highest degree of a product or power parse_polynomial expands; far above
 # any foliation degree Buchberger can handle here
 MAX_DEGREE = 50
+# most terms a product or power parse_polynomial expands, bounded before it is
+# expanded: (z0+z1+z2)^50 has 1326 terms, (z0+z1+z2+z3)^21 would have 2024
+MAX_TERMS = 2000
+# longest coefficient of a product or power parse_polynomial expands, in bits
+# of the common denominator and of the largest numerator over it; the
+# binomials of (z0+z1)^50 have 47 bits, bounded by 100
+MAX_COEFFICIENT_BITS = 10000
 
 
 class _Scanner:
@@ -448,21 +459,29 @@ class _Scanner:
         return self.text[start:self.pos]
 
 
+def _coefficient_bits(p: MultiPoly) -> int:
+    """Bits of the common denominator and of the largest numerator over it."""
+    den = lcm(*(c.denominator for c in p.terms.values()))
+    top = max((abs(c.numerator) * (den // c.denominator) for c in p.terms.values()),
+              default=0)
+    return max(den.bit_length(), top.bit_length())
+
+
 def parse_polynomial(text: str, names: Sequence[str]) -> MultiPoly:
     """Parse +, -, *, ^, rational coefficients and parentheses.
 
     Multiplication is explicit (write 2*x, not 2x).  Raises ValueError
     with a position on malformed input, including parentheses and unary
     minus signs nested more than MAX_NESTING deep and any product or
-    power of degree above MAX_DEGREE, which is refused before it is
-    expanded.
+    power that could exceed MAX_DEGREE, MAX_TERMS or MAX_COEFFICIENT_BITS,
+    which is refused before it is expanded.
     """
     nvars = len(names)
     index = {name: i for i, name in enumerate(names)}
     sc = _Scanner(text)
     depth = 0
 
-    def nested(parse) -> MultiPoly:
+    def nested(parse):
         nonlocal depth
         if depth == MAX_NESTING:
             sc.error(f"more than {MAX_NESTING} nested parentheses or signs")
@@ -490,29 +509,47 @@ def parse_polynomial(text: str, names: Sequence[str]) -> MultiPoly:
             else:
                 return total
 
-    def within_budget(degree: int):
-        if degree > MAX_DEGREE:
-            sc.error(f"degree {degree} above {MAX_DEGREE}")
+    def over_budget(degree: int, terms: int, bits: int):
+        for what, value, limit in (("degree", degree, MAX_DEGREE),
+                                   ("terms", terms, MAX_TERMS),
+                                   ("coefficient bits", bits, MAX_COEFFICIENT_BITS)):
+            if value > limit:
+                sc.error(f"{what} {value} above {limit}")
 
     def parse_term() -> MultiPoly:
-        p = parse_factor()
+        p, bits = parse_factor()
         while sc.peek() == "*":
             sc.take()
-            q = parse_factor()
-            within_budget(p.total_degree() + q.total_degree())
+            q, q_bits = parse_factor()
+            lp, lq = len(p.terms), len(q.terms)
+            degree = p.total_degree() + q.total_degree()
+            # each coefficient of the product sums at most min(lp, lq) products
+            bits += q_bits + ((lp if lp < lq else lq) - 1).bit_length()
+            if degree > MAX_DEGREE or lp * lq > MAX_TERMS or bits > MAX_COEFFICIENT_BITS:
+                over_budget(degree, lp * lq, bits)
             p = p * q
         return p
 
-    def parse_factor() -> MultiPoly:
-        base = parse_atom()
+    # factors and atoms come with an upper bound on their _coefficient_bits,
+    # so a product is bounded without a pass over its operands' terms
+    def parse_factor() -> tuple:
+        base, bits = parse_atom()
         if sc.peek() == "^":
             sc.take()
             k = sc.integer()
-            within_budget(base.total_degree() * k)
-            return base ** k
-        return base
+            t = max(len(base.terms), 1)
+            degree = base.total_degree() * k
+            # a power of t terms has at most C(t+k-1, k) terms, and its
+            # coefficients sum to at most (t * largest)^k; the binomial is
+            # only taken once the degree has bounded k
+            terms = comb(t + k - 1, k) if degree <= MAX_DEGREE else 0
+            bits = k * (bits + (t - 1).bit_length())
+            if degree > MAX_DEGREE or terms > MAX_TERMS or bits > MAX_COEFFICIENT_BITS:
+                over_budget(degree, terms, bits)
+            return base ** k, bits
+        return base, bits
 
-    def parse_atom() -> MultiPoly:
+    def parse_atom() -> tuple:
         ch = sc.peek()
         if ch == "(":
             sc.take()
@@ -520,10 +557,11 @@ def parse_polynomial(text: str, names: Sequence[str]) -> MultiPoly:
             if sc.peek() != ")":
                 sc.error("expected ')'")
             sc.take()
-            return inner
+            return inner, _coefficient_bits(inner)
         if ch == "-":
             sc.take()
-            return -nested(parse_atom)
+            inner, bits = nested(parse_atom)
+            return -inner, bits
         if ch.isdigit():
             num = sc.integer()
             if sc.peek() == "/":
@@ -531,13 +569,14 @@ def parse_polynomial(text: str, names: Sequence[str]) -> MultiPoly:
                 den = sc.integer()
                 if den == 0:
                     sc.error("zero denominator")
-                return MultiPoly.constant(nvars, Fraction(num, den))
-            return MultiPoly.constant(nvars, num)
+                return (MultiPoly.constant(nvars, Fraction(num, den)),
+                        max(num.bit_length(), den.bit_length()))
+            return MultiPoly.constant(nvars, num), num.bit_length()
         if ch.isalpha() or ch == "_":
             name = sc.name()
             if name not in index:
                 sc.error(f"unknown variable {name!r}")
-            return MultiPoly.variable(nvars, index[name])
+            return MultiPoly.variable(nvars, index[name]), 1
         sc.error("unexpected character")
 
     result = parse_expr()

@@ -8,7 +8,7 @@ import pytest
 
 from logfol.cli import main, parse_spec
 from logfol.errors import InputError
-from logfol.polynomials import MAX_DEGREE
+from logfol.polynomials import MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_TERMS
 
 TRIANGLE = {
     "n": 2,
@@ -165,6 +165,18 @@ def test_degree_over_budget_exits_two(tmp_path, capsys, component):
     err = capsys.readouterr().err
     assert err.startswith("error SYNTAX_ERROR: foliation[1]:")
     assert f"above {MAX_DEGREE}" in err
+
+
+@pytest.mark.parametrize("component,limit", [
+    ("(z0 + z1 + z2)^25*(z0 + z1 + z2)^25", MAX_TERMS),
+    ("((9^100)^100)^10*z1^2", MAX_COEFFICIENT_BITS),
+])
+def test_terms_and_coefficients_over_budget_exit_two(tmp_path, capsys, component, limit):
+    doc = dict(TRIANGLE, foliation=["0", component, "z2*(z2 - z0)"])
+    assert main(["chern", write_doc(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error SYNTAX_ERROR: foliation[1]:")
+    assert f"above {limit}" in err
 
 
 def test_missing_file_exits_two(capsys):

@@ -12,15 +12,16 @@ from logfol.errors import (
 from logfol.foliations import (
     Arrangement,
     Foliation,
+    Instance,
     build_stratum,
     is_logarithmic,
     require_logarithmic,
-    restrict_to_stratum,
+    restrict_field,
     validate_arrangement,
 )
 from logfol.groebner import quotient_dimension
 from logfol.indices import RationalPoint, milnor_at_point, point_milnor, total_milnor
-from logfol.polynomials import MultiPoly, parse_polynomial
+from logfol.polynomials import linear_images, parse_polynomial
 
 P2 = ["z0", "z1", "z2"]
 P3 = ["z0", "z1", "z2", "z3"]
@@ -145,17 +146,19 @@ def test_arrangement_rejects_proportional_pairs():
 def test_validate_arrangement():
     assert validate_arrangement(triangle_arrangement()) is None
     assert validate_arrangement(arr(["z0", "z1", "z0 + z1 + z2"])) is None
-    violation = validate_arrangement(arr(["z0", "z1", "z0 + z1"]))
-    assert violation is not None
-    assert violation.indices == (0, 1, 2)
-    assert "0, 1, 2" in violation.describe()
+    with pytest.raises(InputError) as err:
+        validate_arrangement(arr(["z0", "z1", "z0 + z1"]))
+    assert err.value.code == NC_VIOLATION
+    assert err.value.message == ("hyperplanes {0, 1, 2} are linearly dependent "
+                                 "but meet in projective space")
 
 
 def test_validate_arrangement_four_lines():
     assert validate_arrangement(arr(["z0", "z1", "z2", "z0 + z1 + z2"])) is None
-    violation = validate_arrangement(arr(["z0", "z1", "z2", "z1 + z2"]))
-    assert violation is not None
-    assert 0 not in violation.indices
+    with pytest.raises(InputError) as err:
+        validate_arrangement(arr(["z0", "z1", "z2", "z1 + z2"]))
+    assert err.value.code == NC_VIOLATION
+    assert "{1, 2, 3}" in err.value.message
 
 
 # ------------------------------------------------------------- logarithmic
@@ -190,7 +193,7 @@ def test_require_logarithmic_names_the_hyperplane():
 
 def test_build_stratum_parametrizes_the_intersection():
     a = triangle_arrangement()
-    stratum = build_stratum(a, [1, 2])
+    stratum = build_stratum(a.forms, [1, 2], 3)
     assert stratum.dim == 0
     for seed in (["1"], ["3"]):
         ambient = stratum.stratum_to_ambient([Fraction(s) for s in seed])
@@ -199,7 +202,7 @@ def test_build_stratum_parametrizes_the_intersection():
 
 
 def test_stratum_point_maps_round_trip():
-    stratum = build_stratum(triangle_arrangement(), [2])
+    stratum = build_stratum(triangle_arrangement().forms, [2], 3)
     inside = stratum.stratum_to_ambient([Fraction(1), Fraction(5)])
     assert stratum.ambient_to_stratum(inside) == (Fraction(1), Fraction(5))
     with pytest.raises(ValueError):
@@ -208,14 +211,14 @@ def test_stratum_point_maps_round_trip():
 
 def test_restrict_empty_subset_is_identity():
     f = triangle_foliation()
-    restricted, stratum = restrict_to_stratum(f, triangle_arrangement(), [])
+    restricted, stratum = Instance(f, triangle_arrangement()).restriction([])
     assert restricted is f
     assert stratum.dim == 2
 
 
 def test_restrict_to_line():
     f = triangle_foliation()
-    restricted, stratum = restrict_to_stratum(f, triangle_arrangement(), [2])
+    restricted, stratum = Instance(f, triangle_arrangement()).restriction([2])
     assert restricted is not None
     assert restricted.n == 1
     assert restricted.degree == 2
@@ -223,19 +226,18 @@ def test_restrict_to_line():
 
 
 def test_restrict_rejects_point_strata_and_duplicates():
-    f = triangle_foliation()
-    a = triangle_arrangement()
+    inst = Instance(triangle_foliation(), triangle_arrangement())
     with pytest.raises(ValueError):
-        restrict_to_stratum(f, a, [1, 2])
+        inst.restriction([1, 2])
     with pytest.raises(ValueError):
-        restrict_to_stratum(f, a, [1, 1])
+        inst.restriction([1, 1])
 
 
 def test_restrict_requires_invariance():
     f = triangle_foliation()
     a = arr(["z0 + z1"])
     with pytest.raises(InputError) as err:
-        restrict_to_stratum(f, a, [0])
+        restrict_field(f.components, build_stratum(a.forms, [0], 3))
     assert err.value.code == NOT_LOGARITHMIC
 
 
@@ -244,7 +246,7 @@ def test_restriction_keeps_shared_component_factors():
     # so the stratum total still counts a fat point and adds up to 1 + d
     f = fol(["0", "z1*(z2 - z0)", "z2*(z2 - z0 - z1)"])
     a = arr(["z0"])
-    restricted, _ = restrict_to_stratum(f, a, [0])
+    restricted, _ = Instance(f, a).restriction([0])
     assert restricted is not None
     assert restricted.degree == 2
     assert total_milnor(restricted) == 3
@@ -252,25 +254,18 @@ def test_restriction_keeps_shared_component_factors():
 
 def _push_form(form, stratum):
     # rewrite an ambient linear form in the coordinates of the stratum
-    n = form.nvars - 1
-    images = [MultiPoly(n + 1,
-                        {tuple(1 if c == j else 0 for c in range(n + 1)):
-                         stratum.inverse[i][j]
-                         for j in range(n + 1) if stratum.inverse[i][j] != 0})
-              for i in range(n + 1)]
-    return form.compose(images).set_trailing_zero(stratum.dim + 1)
+    return form.compose(linear_images(stratum.inverse)).set_trailing_zero(stratum.dim + 1)
 
 
 def test_restriction_commutes_with_further_restriction():
     f = fol(["0", "z1*(z1 - z0)", "z2*(z2 - z0)", "z3*(z3 - z0)"], P3)
     a = arr(["z2", "z3"], P3)
 
-    direct, direct_stratum = restrict_to_stratum(f, a, [0, 1])
+    direct, direct_stratum = Instance(f, a).restriction([0, 1])
 
-    first, stratum1 = restrict_to_stratum(f, a, [0])
+    first, stratum1 = Instance(f, a).restriction([0])
     pushed = _push_form(a.forms[1], stratum1)
-    second, stratum2 = restrict_to_stratum(
-        first, Arrangement(first.n, [pushed]), [0])
+    second, stratum2 = Instance(first, Arrangement(first.n, [pushed])).restriction([0])
 
     assert direct.n == second.n == 1
     assert total_milnor(direct) == total_milnor(second)

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from itertools import product
 
 import pytest
 
@@ -312,3 +313,39 @@ def test_invariance_under_projective_change():
     # the off-divisor point [1:1:1] moves to [2:1:1]
     assert log_index_at_point(moved, pt(2, 1, 1)) == 1
     assert point_milnor(g, pt(2, 1, 1)) == 1
+
+
+# ------------------------------------------------ germs agree with strata
+
+
+P3 = ["z0", "z1", "z2", "z3"]
+# name: (foliation, hyperplanes, ring, singular points of chart 0 on the grid)
+AGREEMENT_INSTANCES = {
+    "triangle": (["0", "z1*(z1 - z0)", "z2*(z2 - z0)"], ["z0", "z1", "z2"], P2, 4),
+    "on_divisor": (["0", "z1*(z1 - z0)", "z2*(z1 - z2 - z0)"], ["z1", "z2"], P2, 3),
+    "sheared": (["0", "z1*(2*z1 - 3*z0 + z2)", "z2*(z2 - z0 - 2*z1)"],
+                ["z1", "z2"], P2, 2),
+    "P3_coordinate": (["0", "z1*(z1 - z0)", "z2*(z2 - z0)", "z3*(z3 - 2*z0)"],
+                      ["z0", "z1", "z2", "z3"], P3, 8),
+}
+
+
+@pytest.mark.parametrize("name", sorted(AGREEMENT_INSTANCES))
+def test_germ_indices_agree_with_stratum_indices(name):
+    # at every singular point of chart 0 on a small grid, the affine germ
+    # of the chart-0 field along the finite hyperplanes has the projective
+    # Milnor number and logarithmic index
+    texts, hyperplanes, names, expected = AGREEMENT_INSTANCES[name]
+    inst = Instance(fol(texts, names), arr(hyperplanes, names))
+    field = inst.fol.chart_field(0).components
+    finite = [f.dehomogenize(0) for f in inst.arr.forms]
+    finite = [f for f in finite if f.total_degree() == 1]
+    checked = 0
+    for affine in product(range(-2, 4), repeat=inst.fol.n):
+        if any(c.evaluate(affine) for c in field):
+            continue
+        p = pt(1, *affine)
+        assert germ_milnor(field, affine) == point_milnor(inst.fol, p)
+        assert germ_log_index(field, finite, affine) == log_index_at_point(inst, p)
+        checked += 1
+    assert checked == expected

@@ -1,4 +1,5 @@
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -8,8 +9,10 @@ from logfol.groebner import divide
 from logfol.polynomials import (
     GREVLEX,
     LEX,
+    MAX_COEFFICIENT_BITS,
     MAX_DEGREE,
     MAX_NESTING,
+    MAX_TERMS,
     BlockOrder,
     MultiPoly,
     format_poly,
@@ -83,6 +86,26 @@ def test_parse_degree_is_bounded():
                  f"x^{MAX_DEGREE}*y", f"(x*y)^{MAX_DEGREE // 2 + 1}",
                  f"(x^{MAX_DEGREE})^2", "x^99999999999999999999"]:
         with pytest.raises(ValueError, match=f"above {MAX_DEGREE}"):
+            poly(text)
+
+
+def test_parse_terms_are_bounded():
+    abcd = ["a", "b", "c", "d"]
+    assert len(parse_polynomial("(a + b + c + d)^20", abcd).terms) == comb(23, 3)
+    # refused from the bound C(t+k-1, k) or len(p)*len(q), before expanding
+    for text in ["(a + b + c + d)^30", "(a + b + c + d)^21",
+                 "(a + b + c)^25*(a + b + c)^25"]:
+        with pytest.raises(ValueError, match=f"terms [0-9]+ above {MAX_TERMS}"):
+            parse_polynomial(text, abcd)
+
+
+def test_parse_coefficients_are_bounded():
+    assert poly("(x + y)^50").coefficient((25, 25)) == comb(50, 25)
+    assert poly("9^1000*9^1000") == MultiPoly.constant(2, 9 ** 2000)
+    # degree 0 passes the other budgets; the bits are refused before expanding
+    for text in ["((9^100)^100)^10", f"2^{MAX_COEFFICIENT_BITS}", "(1/3)^6000",
+                 "9^1000*9^1000*9^1000"]:
+        with pytest.raises(ValueError, match=f"above {MAX_COEFFICIENT_BITS}"):
             poly(text)
 
 
