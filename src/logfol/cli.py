@@ -29,44 +29,31 @@ generality has no index-side counterpart, so the CLI does not expose it.
 import argparse
 import json
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
-from .chern import ChernInput, closed_form_sigma, lhs_integral, sigma_convention_note
+from .chern import closed_form_sigma, lhs_integral, sigma_convention_note
 from .errors import SYNTAX_ERROR, InputError
 from .foliations import Arrangement, Foliation, Instance, ambient_names
 from .indices import (
     RationalPoint,
+    chern_input,
     complement_milnor_sum,
     point_record,
     verify_instance,
 )
-from .polynomials import format_poly, parse_polynomial
+from .polynomials import parse_polynomial
 
 
 @dataclass(frozen=True)
 class ProblemSpec:
-    """A parsed problem description and its validated `Instance`.
+    """A parsed problem description: its validated `Instance` and points.
 
     Every command reads the foliation, its chart bases and its stratum
     restrictions from `instance`, which `parse_spec` builds once.
     """
 
-    n: int
-    components: tuple
-    forms: tuple
+    instance: Instance
     points: tuple
-    instance: Instance = field(compare=False, repr=False)
-
-    def serialize(self) -> dict:
-        names = ambient_names(self.n)
-        doc = {
-            "n": self.n,
-            "foliation": [format_poly(p, names) for p in self.components],
-            "hyperplanes": [format_poly(f, names) for f in self.forms],
-        }
-        if self.points:
-            doc["points"] = [[str(c) for c in p.coords] for p in self.points]
-        return doc
 
 
 def _fail(message: str) -> InputError:
@@ -84,6 +71,10 @@ def parse_spec(text: str) -> ProblemSpec:
     except json.JSONDecodeError as exc:
         raise _fail(f"invalid JSON at line {exc.lineno} column {exc.colno}: "
                     f"{exc.msg}") from None
+    except (RecursionError, ValueError) as exc:
+        # nesting past the decoder's recursion limit, or an integer literal
+        # past the interpreter's digit limit
+        raise _fail(f"invalid JSON: {exc}") from None
     if not isinstance(doc, dict):
         raise _fail("top level must be a JSON object")
     unknown = set(doc) - {"n", "foliation", "hyperplanes", "points"}
@@ -135,8 +126,7 @@ def parse_spec(text: str) -> ProblemSpec:
 
     # every structural validation runs here, once; commands trust the instance
     instance = Instance(Foliation(components), Arrangement(n, forms))
-    return ProblemSpec(n=n, components=tuple(components), forms=tuple(forms),
-                       points=tuple(points), instance=instance)
+    return ProblemSpec(instance=instance, points=tuple(points))
 
 
 # ------------------------------------------------------------------ payloads
@@ -163,11 +153,15 @@ def _stratum_payload(s) -> dict:
     }
 
 
-def _add_sigma(payload: dict) -> dict:
+def _payload(command: str, inst: Instance, **fields) -> dict:
+    """A report: the keys every command shares around the command's `fields`."""
+    return {"command": command, "n": inst.fol.n, "degree": inst.fol.degree,
+            "hyperplanes": len(inst.arr.forms), **fields, "warnings": []}
+
+
+def _add_sigma(payload: dict, inst: Instance) -> dict:
     """Add the closed form of a payload's Chern number and the sign reminder."""
-    sigma = closed_form_sigma(ChernInput(n=payload["n"],
-                                         divisor_degrees=(1,) * payload["hyperplanes"],
-                                         foliation_degree=payload["degree"]))
+    sigma = closed_form_sigma(chern_input(inst))
     payload.update(sigma_closed_form=sigma,
                    sigma_matches=sigma == payload["lhs_chern"],
                    warnings=[sigma_convention_note()])
@@ -176,58 +170,31 @@ def _add_sigma(payload: dict) -> dict:
 
 def cmd_verify(spec: ProblemSpec, check_sigma: bool = False) -> dict:
     report = verify_instance(spec.instance, spec.points)
-    payload = {
-        "command": "verify",
-        "n": report.n,
-        "degree": report.degree,
-        "hyperplanes": report.hyperplanes,
-        "lhs_chern": report.lhs_chern,
-        "rhs_total": report.rhs_total,
-        "verified": report.verified,
-        "strata": [_stratum_payload(s) for s in report.strata],
-        "points": [_point_payload(r) for r in report.points],
-        "warnings": [],
-    }
-    return _add_sigma(payload) if check_sigma else payload
+    payload = _payload("verify", spec.instance,
+                       lhs_chern=report.lhs_chern,
+                       rhs_total=report.rhs_total,
+                       verified=report.verified,
+                       strata=[_stratum_payload(s) for s in report.strata],
+                       points=[_point_payload(r) for r in report.points])
+    return _add_sigma(payload, spec.instance) if check_sigma else payload
 
 
 def cmd_chern(spec: ProblemSpec, check_sigma: bool = False) -> dict:
-    degree = spec.instance.fol.degree
-    data = ChernInput(n=spec.n, divisor_degrees=(1,) * len(spec.forms),
-                      foliation_degree=degree)
-    payload = {
-        "command": "chern",
-        "n": spec.n,
-        "degree": degree,
-        "hyperplanes": len(spec.forms),
-        "lhs_chern": lhs_integral(data),
-        "warnings": [],
-    }
-    return _add_sigma(payload) if check_sigma else payload
+    payload = _payload("chern", spec.instance,
+                       lhs_chern=lhs_integral(chern_input(spec.instance)))
+    return _add_sigma(payload, spec.instance) if check_sigma else payload
 
 
 def cmd_indices(spec: ProblemSpec, extra_points=()) -> dict:
     points = list(spec.points) + list(extra_points)
     records = [point_record(spec.instance, p) for p in points]
-    return {
-        "command": "indices",
-        "n": spec.n,
-        "degree": spec.instance.fol.degree,
-        "hyperplanes": len(spec.forms),
-        "points": [_point_payload(r) for r in records],
-        "warnings": [],
-    }
+    return _payload("indices", spec.instance,
+                    points=[_point_payload(r) for r in records])
 
 
 def cmd_count_complement(spec: ProblemSpec) -> dict:
-    return {
-        "command": "count-complement",
-        "n": spec.n,
-        "degree": spec.instance.fol.degree,
-        "hyperplanes": len(spec.forms),
-        "complement_milnor_sum": complement_milnor_sum(spec.instance),
-        "warnings": [],
-    }
+    return _payload("count-complement", spec.instance,
+                    complement_milnor_sum=complement_milnor_sum(spec.instance))
 
 
 # ----------------------------------------------------------------- rendering
@@ -338,13 +305,16 @@ def main(argv=None) -> int:
                 text = handle.read()
         except OSError as exc:
             raise _fail(f"cannot read {args.file}: {exc.strerror}") from None
+        except UnicodeDecodeError as exc:
+            raise _fail(f"cannot read {args.file}: not UTF-8 text "
+                        f"(byte {exc.start}: {exc.reason})") from None
         spec = parse_spec(text)
         if args.command == "verify":
             payload = cmd_verify(spec, check_sigma=args.check_sigma)
         elif args.command == "chern":
             payload = cmd_chern(spec, check_sigma=args.check_sigma)
         elif args.command == "indices":
-            extra = [_parse_cli_point(raw, spec.n) for raw in args.point]
+            extra = [_parse_cli_point(raw, spec.instance.fol.n) for raw in args.point]
             payload = cmd_indices(spec, extra)
         else:
             payload = cmd_count_complement(spec)

@@ -183,13 +183,14 @@ def validate_arrangement(arr: Arrangement):
 
     Dependent subsets of size <= n+1 always share a projective point, so
     checking linear independence of every such subset is exactly the
-    normal-crossing condition for hyperplanes.
+    normal-crossing condition for hyperplanes.  `Arrangement` has
+    already checked the pairs, so the subsets start at size 3.
     """
     from itertools import combinations
 
     vectors = [_form_vector(f) for f in arr.forms]
     k = len(vectors)
-    for size in range(2, min(k, arr.n + 1) + 1):
+    for size in range(3, min(k, arr.n + 1) + 1):
         for subset in combinations(range(k), size):
             if linalg.rank([vectors[i] for i in subset]) < size:
                 listed = ", ".join(str(i) for i in subset)

@@ -2,13 +2,15 @@
 
 Buchberger's algorithm with the classical pair pruning (coprime leading
 monomials and the chain criterion) followed by one interreduction pass,
-so every call yields *the* reduced basis of the ideal under the chosen
-order.  The run is deterministic: inputs are sorted canonically, the
-pending pairs sit in a heap keyed (order key of the lcm, i, j), so the
-smallest lcm comes first and ties go to the lower indices, and bases
-come out sorted by leading monomial.  Division keeps the pending terms
-in a heap keyed once per monomial and splits each divisor's tail off
-once.
+so every call yields *the* reduced basis of the ideal under the order
+it is given.  An `Ideal` caches its grevlex basis only; the one other
+order in use is the elimination order inside `intersect`, which calls
+the basis engine directly and keeps nothing.  The run is deterministic:
+inputs are sorted canonically, the pending pairs sit in a heap keyed
+(order key of the lcm, i, j), so the smallest lcm comes first and ties
+go to the lower indices, and bases come out sorted by leading monomial.
+Division keeps the pending terms in a heap keyed once per monomial and
+splits each divisor's tail off once.
 
 Vector-space dimensions of quotients are staircase counts read off the
 reduced basis.  The length of the part of a zero-dimensional scheme on
@@ -45,15 +47,13 @@ INFINITE = float("inf")
 # ------------------------------------------------------------------- ideals
 
 class Ideal:
-    """An ideal given by generators, with a cached reduced Groebner basis.
+    """An ideal given by generators, with its reduced grevlex basis cached.
 
-    The cache is a single (order, basis) slot filled by `buchberger`;
-    operations that need a basis under a different order recompute and
-    replace it.  Two ideals compare equal when their reduced grevlex
-    bases coincide.
+    `buchberger` or the first call of `groebner_basis` fills the cache.
+    Two ideals compare equal when their reduced bases coincide.
     """
 
-    __slots__ = ("nvars", "generators", "_order", "_basis")
+    __slots__ = ("nvars", "generators", "_basis")
 
     def __init__(self, nvars: int, generators: Iterable[MultiPoly]):
         gens = []
@@ -66,39 +66,28 @@ class Ideal:
                 gens.append(g)
         self.nvars = nvars
         self.generators = tuple(gens)
-        self._order = None
         self._basis = None
 
-    @property
-    def basis_cache(self):
-        if self._order is None:
-            return None
-        return (self._order, self._basis)
-
-    def groebner_basis(self, order: MonomialOrder = GREVLEX) -> tuple:
-        if self._order is not None and self._order.name == order.name:
-            return self._basis
-        basis = _reduced_groebner(self.generators, self.nvars, order)
-        self._order = order
-        self._basis = basis
-        return basis
+    def groebner_basis(self) -> tuple:
+        if self._basis is None:
+            self._basis = _reduced_groebner(self.generators, self.nvars, GREVLEX)
+        return self._basis
 
     def __eq__(self, other):
         if not isinstance(other, Ideal):
             return NotImplemented
         if self.nvars != other.nvars:
             return False
-        return self.groebner_basis(GREVLEX) == other.groebner_basis(GREVLEX)
+        return self.groebner_basis() == other.groebner_basis()
 
     def __hash__(self):
-        return hash((self.nvars, self.groebner_basis(GREVLEX)))
+        return hash((self.nvars, self.groebner_basis()))
 
     def __repr__(self):
         return f"Ideal({self.nvars}, {len(self.generators)} generators)"
 
 
-def buchberger(generators: Sequence[MultiPoly], nvars: int | None = None,
-               order: MonomialOrder = GREVLEX) -> Ideal:
+def buchberger(generators: Sequence[MultiPoly], nvars: int | None = None) -> Ideal:
     """Build an Ideal and cache its reduced Groebner basis."""
     gens = list(generators)
     if nvars is None:
@@ -106,7 +95,7 @@ def buchberger(generators: Sequence[MultiPoly], nvars: int | None = None,
             raise ValueError("need nvars for an empty generator list")
         nvars = gens[0].nvars
     ideal = Ideal(nvars, gens)
-    ideal.groebner_basis(order)
+    ideal.groebner_basis()
     return ideal
 
 
@@ -158,27 +147,23 @@ def divide(f: MultiPoly, divisors: Sequence[MultiPoly],
             MultiPoly._trusted(f.nvars, remainder))
 
 
-def normal_form(f: MultiPoly, ideal: Ideal, order: MonomialOrder | None = None) -> MultiPoly:
+def _cached_basis(ideal: Ideal) -> tuple:
+    if ideal._basis is None:
+        raise ValueError("ideal has no cached Groebner basis; call buchberger first")
+    return ideal._basis
+
+
+def normal_form(f: MultiPoly, ideal: Ideal) -> MultiPoly:
     """Remainder of f modulo the ideal's cached reduced basis.
 
     Requires a cached basis (compute one with `buchberger` first); with
     a reduced basis the result is the unique normal form, so membership
     is `normal_form(f, I).is_zero()`.
     """
-    cache = ideal.basis_cache
-    if cache is None:
-        raise ValueError("ideal has no cached Groebner basis; call buchberger first")
-    cached_order, basis = cache
-    if order is not None and order.name != cached_order.name:
-        basis = ideal.groebner_basis(order)
-        cached_order = order
+    basis = _cached_basis(ideal)
     if not basis:
         return f
-    return divide(f, basis, cached_order)[1]
-
-
-def contains(ideal: Ideal, f: MultiPoly) -> bool:
-    return normal_form(f, ideal).is_zero()
+    return divide(f, basis)[1]
 
 
 def exact_divide(f: MultiPoly, g: MultiPoly) -> MultiPoly:
@@ -304,7 +289,7 @@ def intersect(a: Ideal, b: Ideal) -> Ideal:
     one = MultiPoly.constant(n + 1, 1)
     gens = [t * _prefix_var(g) for g in a.generators]
     gens += [(one - t) * _prefix_var(g) for g in b.generators]
-    basis = buchberger(gens, n + 1, BlockOrder(1)).groebner_basis(BlockOrder(1))
+    basis = _reduced_groebner(gens, n + 1, BlockOrder(1))
     kept = [_strip_prefix(g) for g in basis if not any(e[0] for e in g.terms)]
     return buchberger(kept, n)
 
@@ -318,7 +303,7 @@ def ideal_quotient(ideal: Ideal, f: MultiPoly) -> Ideal:
     if f.total_degree() == 0:
         return buchberger(ideal.generators, ideal.nvars)
     meet = intersect(ideal, buchberger([f], ideal.nvars))
-    gens = [exact_divide(g, f) for g in meet.groebner_basis(GREVLEX)]
+    gens = [exact_divide(g, f) for g in meet.groebner_basis()]
     return buchberger(gens, ideal.nvars)
 
 
@@ -344,7 +329,7 @@ def saturate(ideal: Ideal, other: Ideal) -> Ideal:
     current = buchberger(ideal.generators, ideal.nvars)
     while True:
         step = colon_by_ideal(current, other)
-        if step.groebner_basis(GREVLEX) == current.groebner_basis(GREVLEX):
+        if step.groebner_basis() == current.groebner_basis():
             return current
         current = step
 
@@ -355,14 +340,11 @@ def _standard_monomials(ideal: Ideal):
     None means the staircase is infinite: some variable has no pure
     power among the leading monomials.
     """
-    cache = ideal.basis_cache
-    if cache is None:
-        raise ValueError("ideal has no cached Groebner basis; call buchberger first")
-    order, basis = cache
+    basis = _cached_basis(ideal)
     n = ideal.nvars
     if not basis:
         return [()] if n == 0 else None
-    leads = [g.lead_term(order)[0] for g in basis]
+    leads = [g.lead_term()[0] for g in basis]
     if any(mono_deg(lm) == 0 for lm in leads):
         return []
     bounds = []
@@ -404,7 +386,7 @@ def staircase(ideal: Ideal) -> list:
     monos = _standard_monomials(ideal)
     if monos is None:
         raise ValueError("staircase is infinite")
-    return sorted(monos, key=ideal.basis_cache[0].key)
+    return sorted(monos, key=GREVLEX.key)
 
 
 def supported_length(ideal: Ideal, locus_polys: Sequence[MultiPoly]) -> int:

@@ -1,25 +1,29 @@
 """Local multiplicities and logarithmic index bookkeeping.
 
-Milnor numbers are computed two independent ways: as a saturation
-defect (dimension of the quotient minus the dimension after saturating
-away the point) and as a stabilized jet dimension.  The logarithmic
+The Milnor number at a rational point is a saturation defect: the
+dimension of the quotient minus the dimension after saturating away the
+point.  (The test suite checks it against a second, independent route,
+the stabilized jet dimension of `tests/oracles.py`.)  The logarithmic
 index at a point is the alternating sum of Milnor numbers of the
 restrictions to all strata through the point, with the convention that
 a zero-dimensional stratum contributes 1 when the point is singular.
-Points off the divisor take their plain Milnor number.
+Points off the divisor take their plain Milnor number; the homological
+index of a point on the divisor is its Milnor number minus its
+logarithmic index (`point_record`).
 
 Global totals never enumerate points: each chart contributes the length
 of its singular scheme on the vanishing of the earlier chart
 coordinates, read off the multiplication matrices of the chart's
 quotient ring (`supported_length`), so irrational singularities are
-counted with full multiplicity.
+counted with full multiplicity.  `chern_input` is the one place that
+decides the divisor degrees the Chern side sees.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
-from itertools import combinations, combinations_with_replacement
+from itertools import combinations
 from typing import Sequence
 
 from . import linalg
@@ -123,32 +127,6 @@ def milnor_at_maximal_ideal(ideal: Ideal, locus: Ideal) -> int:
     return total - rest
 
 
-def milnor_oracle(ideal: Ideal, point: Sequence, max_jet: int = 24) -> int:
-    """Independent multiplicity: dimension of I + m_p^N once N stabilizes.
-
-    The jet dimensions are nondecreasing and strictly increase until
-    they reach the multiplicity, so two equal consecutive values end the
-    scan.
-    """
-    n = ideal.nvars
-    shifts = [MultiPoly.variable(n, i) - Fraction(point[i]) for i in range(n)]
-    previous = None
-    for jet in range(1, max_jet + 1):
-        gens = list(ideal.generators)
-        for combo in combinations_with_replacement(range(n), jet):
-            g = MultiPoly.constant(n, 1)
-            for i in combo:
-                g = g * shifts[i]
-            gens.append(g)
-        value = quotient_dimension(buchberger(gens, n))
-        if value == INFINITE:
-            raise ValueError("jet ideal is not zero-dimensional")
-        if value == previous:
-            return value
-        previous = value
-    raise ValueError(f"jet dimensions did not stabilize below N={max_jet}")
-
-
 # ------------------------------------------------------------ point queries
 
 def is_singular_point(fol: Foliation, point: RationalPoint) -> bool:
@@ -197,13 +175,6 @@ def _alternating_sum(through: Sequence[int], n: int, milnor) -> int:
         for subset in combinations(through, size):
             total += sign * (1 if size == n else milnor(subset))
     return total
-
-
-def hom_index_at_point(inst: Instance, point: RationalPoint) -> int:
-    """Milnor number minus logarithmic index; only defined on the divisor."""
-    if not components_through(inst.arr, point):
-        raise ValueError("point does not lie on the divisor")
-    return point_milnor(inst.fol, point) - log_index_at_point(inst, point)
 
 
 # ------------------------------------------------------------- global sums
@@ -291,11 +262,6 @@ def stratum_breakdown(inst: Instance) -> list:
     return out
 
 
-def rhs_total(inst: Instance) -> int:
-    """The stratified sum of logarithmic indices over all singularities."""
-    return sum(s.sign * s.total for s in stratum_breakdown(inst))
-
-
 # ------------------------------------------------------------- affine germs
 
 def germ_milnor(components: Sequence[MultiPoly], point: Sequence) -> int:
@@ -358,9 +324,6 @@ class PointRecord:
 
 @dataclass(frozen=True)
 class IndexReport:
-    n: int
-    degree: int
-    hyperplanes: int
     lhs_chern: int
     rhs_total: int
     verified: bool
@@ -378,15 +341,18 @@ def point_record(inst: Instance, point: RationalPoint) -> PointRecord:
                        milnor=mu, log_index=log, hom_index=hom)
 
 
+def chern_input(inst: Instance) -> ChernInput:
+    """The Chern-side data of an instance: every hyperplane has degree 1."""
+    return ChernInput(n=inst.fol.n, divisor_degrees=(1,) * len(inst.arr.forms),
+                      foliation_degree=inst.fol.degree)
+
+
 def verify_instance(inst: Instance,
                     points: Sequence[RationalPoint] = ()) -> IndexReport:
     """Compare the Chern-number side with the stratified index side."""
-    fol, arr = inst.fol, inst.arr
     strata = stratum_breakdown(inst)
     rhs = sum(s.sign * s.total for s in strata)
-    lhs = lhs_integral(ChernInput(n=fol.n, divisor_degrees=(1,) * len(arr.forms),
-                                  foliation_degree=fol.degree))
+    lhs = lhs_integral(chern_input(inst))
     records = tuple(point_record(inst, p) for p in points)
-    return IndexReport(n=fol.n, degree=fol.degree, hyperplanes=len(arr.forms),
-                       lhs_chern=lhs, rhs_total=rhs, verified=(lhs == rhs),
+    return IndexReport(lhs_chern=lhs, rhs_total=rhs, verified=(lhs == rhs),
                        strata=tuple(strata), points=records)

@@ -11,7 +11,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from math import comb, lcm
-from operator import add, le, neg
+from operator import add, le
 from typing import Iterable, Mapping, Sequence
 
 Exponents = tuple  # tuple[int, ...]
@@ -85,18 +85,6 @@ class GrevlexOrder(MonomialOrder):
         return _grevlex_rev_key(exps)
 
 
-class LexOrder(MonomialOrder):
-    """Pure lexicographic order; variable 0 is the most significant."""
-
-    name = "lex"
-
-    def key(self, exps):
-        return tuple(exps)
-
-    def rev_key(self, exps):
-        return tuple(map(neg, exps))
-
-
 class BlockOrder(MonomialOrder):
     """Elimination order for the first `block` variables.
 
@@ -119,7 +107,6 @@ class BlockOrder(MonomialOrder):
 
 
 GREVLEX = GrevlexOrder()
-LEX = LexOrder()
 
 
 # ---------------------------------------------------------------- polynomials
@@ -198,9 +185,6 @@ class MultiPoly:
     def coefficient(self, exps: Sequence[int]) -> Fraction:
         return self.terms.get(tuple(exps), Fraction(0))
 
-    def constant_term(self) -> Fraction:
-        return self.terms.get((0,) * self.nvars, Fraction(0))
-
     def lead_term(self, order: MonomialOrder = GREVLEX):
         """(exponents, coefficient) of the leading term.  Errors on zero.
 
@@ -216,8 +200,9 @@ class MultiPoly:
         self._lead = (order.name, term)
         return term
 
-    def sorted_terms(self, order: MonomialOrder = GREVLEX, reverse: bool = True):
-        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=reverse)
+    def sorted_terms(self, order: MonomialOrder = GREVLEX):
+        """The terms, leading term first."""
+        return sorted(self.terms.items(), key=lambda t: order.key(t[0]), reverse=True)
 
     # -- arithmetic --------------------------------------------------------
 
@@ -254,12 +239,6 @@ class MultiPoly:
         if other is None:
             return NotImplemented
         return self + (-other)
-
-    def __rsub__(self, other):
-        other = self._coerce(other)
-        if other is None:
-            return NotImplemented
-        return other + (-self)
 
     def __mul__(self, other):
         if isinstance(other, (int, Fraction)):
@@ -304,17 +283,7 @@ class MultiPoly:
             self._hash = hash((self.nvars, frozenset(self.terms.items())))
         return self._hash
 
-    # -- calculus / substitution -------------------------------------------
-
-    def derivative(self, i: int) -> "MultiPoly":
-        terms = {}
-        for e, c in self.terms.items():
-            if e[i]:
-                down = list(e)
-                down[i] -= 1
-                exps = tuple(down)
-                terms[exps] = terms.get(exps, Fraction(0)) + c * e[i]
-        return MultiPoly(self.nvars, terms)
+    # -- evaluation / substitution ------------------------------------------
 
     def evaluate(self, point: Sequence) -> Fraction:
         if len(point) != self.nvars:
@@ -381,19 +350,6 @@ class MultiPoly:
 
 
 # ------------------------------------------------------------- substitutions
-
-def linear_substitute(f: MultiPoly, matrix: Sequence[Sequence]) -> MultiPoly:
-    """Compose f with the invertible linear change of variables x -> M.x."""
-    from . import linalg
-
-    n = f.nvars
-    rows = [[Fraction(x) for x in row] for row in matrix]
-    if len(rows) != n or any(len(r) != n for r in rows):
-        raise ValueError("matrix shape does not match the ring")
-    if linalg.rank(rows) != n:
-        raise ValueError("substitution matrix is singular")
-    return f.compose(linear_images(rows))
-
 
 def linear_images(matrix: Sequence[Sequence]) -> list:
     """The images of the variables under x -> M.x: one linear form per row."""

@@ -1,14 +1,98 @@
-"""Brute-force cross-checks, kept independent of the package internals.
+"""Brute-force cross-checks and test-only helpers.
 
-Everything here is slow and obviously correct: dense linear algebra over
-Fraction on truncated monomial bases, and textbook multivariate division
-on plain dicts whose results go through the validating MultiPoly
-constructor.  No Groebner machinery.
+Everything here is slow and obviously correct.  The quotient and
+membership checks use dense linear algebra over Fraction on truncated
+monomial bases, and the reference division is textbook multivariate
+division on plain dicts whose results go through the validating
+MultiPoly constructor; none of them uses Groebner machinery.  The jet
+oracle `milnor_oracle` is the second Milnor route next to the
+saturation of `logfol.indices`: it computes a different ideal with the
+package's own bases.  `recursion_check` checks the Chern integral across
+hyperplane sections, and `linear_substitute` and `LEX` serve the tests
+that move instances and compare monomial orders.
 """
 
 from fractions import Fraction
+from itertools import combinations_with_replacement
+from operator import neg
 
-from logfol.polynomials import MultiPoly
+from logfol import linalg
+from logfol.chern import ChernInput, lhs_integral
+from logfol.groebner import INFINITE, buchberger, quotient_dimension
+from logfol.polynomials import MonomialOrder, MultiPoly, linear_images
+
+
+class LexOrder(MonomialOrder):
+    """Pure lexicographic order; variable 0 is the most significant."""
+
+    name = "lex"
+
+    def key(self, exps):
+        return tuple(exps)
+
+    def rev_key(self, exps):
+        return tuple(map(neg, exps))
+
+
+LEX = LexOrder()
+
+
+def linear_substitute(f: MultiPoly, matrix) -> MultiPoly:
+    """Compose f with the invertible linear change of variables x -> M.x."""
+    n = f.nvars
+    rows = [[Fraction(x) for x in row] for row in matrix]
+    if len(rows) != n or any(len(r) != n for r in rows):
+        raise ValueError("matrix shape does not match the ring")
+    if linalg.rank(rows) != n:
+        raise ValueError("substitution matrix is singular")
+    return f.compose(linear_images(rows))
+
+
+def milnor_oracle(ideal, point, max_jet: int = 24) -> int:
+    """Independent multiplicity: dimension of I + m_p^N once N stabilizes.
+
+    The jet dimensions are nondecreasing and strictly increase until
+    they reach the multiplicity, so two equal consecutive values end the
+    scan.
+    """
+    n = ideal.nvars
+    shifts = [MultiPoly.variable(n, i) - Fraction(point[i]) for i in range(n)]
+    previous = None
+    for jet in range(1, max_jet + 1):
+        gens = list(ideal.generators)
+        for combo in combinations_with_replacement(range(n), jet):
+            g = MultiPoly.constant(n, 1)
+            for i in combo:
+                g = g * shifts[i]
+            gens.append(g)
+        value = quotient_dimension(buchberger(gens, n))
+        if value == INFINITE:
+            raise ValueError("jet ideal is not zero-dimensional")
+        if value == previous:
+            return value
+        previous = value
+    raise ValueError(f"jet dimensions did not stabilize below N={max_jet}")
+
+
+def recursion_check(data: ChernInput, drop: int) -> bool:
+    """Drop one degree-1 divisor component and compare across dimensions.
+
+    The integral over P^n equals the integral without the dropped
+    component minus the corresponding integral over the component
+    itself, a P^(n-1) carrying the remaining degrees.
+    """
+    degrees = data.divisor_degrees
+    if not 0 <= drop < len(degrees):
+        raise ValueError("drop index out of range")
+    if degrees[drop] != 1:
+        raise ValueError("can only drop a degree-1 component")
+    if data.n < 2:
+        raise ValueError("need n >= 2 to restrict to a hyperplane")
+    rest = degrees[:drop] + degrees[drop + 1:]
+    whole = lhs_integral(data)
+    without = lhs_integral(ChernInput(data.n, rest, data.foliation_degree))
+    on_component = lhs_integral(ChernInput(data.n - 1, rest, data.foliation_degree))
+    return whole == without - on_component
 
 
 def monomials_upto(nvars: int, degree: int) -> list:

@@ -13,14 +13,13 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from oracles import brute_quotient_dimension
+from oracles import brute_quotient_dimension, milnor_oracle, recursion_check
 
 from logfol.chern import (
     ChernInput,
     closed_form_sigma,
     closed_form_sigma_positive_args,
     lhs_integral,
-    recursion_check,
     sigma_convention_note,
 )
 from logfol.cli import cmd_count_complement, cmd_verify, parse_spec
@@ -31,7 +30,6 @@ from logfol.indices import (
     germ_log_index,
     germ_milnor,
     milnor_at_point,
-    milnor_oracle,
     total_milnor,
 )
 from logfol.polynomials import parse_polynomial

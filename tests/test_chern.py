@@ -8,59 +8,17 @@ from hypothesis import strategies as st
 
 from logfol.chern import (
     ChernInput,
-    TruncatedSeries,
-    chern_log_tangent,
     closed_form_sigma,
     closed_form_sigma_positive_args,
     complete_homogeneous,
     lhs_integral,
-    recursion_check,
-    series_inverse,
     sigma_convention_note,
 )
 
-
-def series(order, coeffs):
-    return TruncatedSeries(order, [Fraction(c) for c in coeffs])
-
-
-# ------------------------------------------------------------------ series
-
-
-def test_series_arithmetic():
-    one = TruncatedSeries.constant(2, 1)
-    s = TruncatedSeries.linear(2, 1)
-    assert s * s == series(2, [1, 2, 1])
-    assert s + one == series(2, [2, 1, 0])
-    assert s**3 == series(2, [1, 3, 3])
-
-
-def test_series_inverse_examples():
-    assert series_inverse(TruncatedSeries.linear(2, 1)) == series(2, [1, -1, 1])
-    assert series_inverse(TruncatedSeries.linear(2, -1)) == series(2, [1, 1, 1])
-    assert series_inverse(TruncatedSeries.linear(2, 2)) == series(2, [1, -2, 4])
-
-
-def test_series_inverse_needs_unit():
-    with pytest.raises(ValueError):
-        series_inverse(series(2, [0, 1, 0]))
-
-
-@given(st.lists(st.integers(-5, 5), min_size=4, max_size=4),
-       st.integers(1, 5))
-@settings(max_examples=60, deadline=None)
-def test_series_inverse_is_inverse(coeffs, lead):
-    s = series(3, [lead] + coeffs[1:])
-    assert s * series_inverse(s) == TruncatedSeries.constant(3, 1)
+from oracles import recursion_check
 
 
 # ------------------------------------------------------------- chern class
-
-
-def test_chern_log_tangent_examples():
-    assert chern_log_tangent(ChernInput(2, (1, 1, 1), 2)) == series(2, [1, 0, 0])
-    assert chern_log_tangent(ChernInput(2, (), 2)) == series(2, [1, 3, 3])
-    assert chern_log_tangent(ChernInput(2, (2,), 2)) == series(2, [1, 1, 1])
 
 
 def test_lhs_integral_examples():

@@ -184,14 +184,19 @@ def test_missing_file_exits_two(capsys):
     assert "SYNTAX_ERROR" in capsys.readouterr().err
 
 
-# ------------------------------------------------------------- round trip
+@pytest.mark.parametrize("content", [
+    b"[" * 100000 + b"]" * 100000,
+    b"\xff\xfe",
+    b'{"n": 1' + b"0" * 5000 + b"}",
+], ids=["nested-too-deep", "not-utf-8", "integer-too-long"])
+def test_unreadable_documents_exit_two(tmp_path, capsys, content):
+    path = tmp_path / "doc.json"
+    path.write_bytes(content)
+    assert main(["verify", str(path)]) == 2
+    assert capsys.readouterr().err.startswith("error SYNTAX_ERROR:")
 
 
-def test_parse_serialize_round_trip():
-    spec = parse_spec(json.dumps(TRIANGLE))
-    again = parse_spec(json.dumps(spec.serialize()))
-    assert again == spec
-    assert again.serialize() == spec.serialize()
+# ------------------------------------------------------------------ parsing
 
 
 def test_parse_spec_rejects_non_object():

@@ -12,20 +12,19 @@ from logfol.indices import (
     germ_hom_index,
     germ_log_index,
     germ_milnor,
-    hom_index_at_point,
     log_index_at_point,
     milnor_at_maximal_ideal,
     milnor_at_point,
-    milnor_oracle,
     point_milnor,
     point_record,
-    rhs_total,
     stratum_breakdown,
     total_milnor,
     verify_instance,
 )
 from logfol.linalg import invert
-from logfol.polynomials import MultiPoly, linear_substitute, parse_polynomial
+from logfol.polynomials import MultiPoly, parse_polynomial
+
+from oracles import linear_substitute, milnor_oracle
 
 P2 = ["z0", "z1", "z2"]
 XY = ["x", "y"]
@@ -183,11 +182,8 @@ def test_triangle_point_table(coords, mu, log, hom):
     p = pt(*coords)
     assert point_milnor(f, p) == mu
     assert log_index_at_point(inst, p) == log
-    if hom is None:
-        with pytest.raises(ValueError):
-            hom_index_at_point(inst, p)
-    else:
-        assert hom_index_at_point(inst, p) == hom
+    assert point_record(inst, p).hom_index == hom
+    if hom is not None:
         assert log + hom == mu
 
 
@@ -208,7 +204,7 @@ def test_point_record_shapes():
 def test_triangle_totals():
     f, a = triangle()
     assert total_milnor(f) == 7
-    assert rhs_total(Instance(f, a)) == 1
+    assert verify_instance(Instance(f, a)).rhs_total == 1
     assert complement_milnor_sum(Instance(f, a)) == 1
 
 
@@ -226,13 +222,14 @@ def test_triangle_stratum_breakdown():
 def test_rhs_matches_per_point_logs():
     inst = Instance(*triangle())
     singular = [pt(*c) for c, _, _, _ in TRIANGLE_TABLE]
-    assert sum(log_index_at_point(inst, p) for p in singular) == rhs_total(inst)
+    assert sum(log_index_at_point(inst, p) for p in singular) == \
+        verify_instance(inst).rhs_total
 
 
 def test_empty_arrangement_reduces_to_total_milnor():
     f, _ = triangle()
     empty = Instance(f, Arrangement(2, []))
-    assert rhs_total(empty) == total_milnor(f) == 7
+    assert verify_instance(empty).rhs_total == total_milnor(f) == 7
     assert complement_milnor_sum(empty) == 7
 
 
@@ -272,16 +269,16 @@ def test_on_divisor_instance_points():
         p = pt(*coords)
         assert point_milnor(f, p) == mu
         assert log_index_at_point(inst, p) == log
-        assert hom_index_at_point(inst, p) == mu - log
+        assert point_record(inst, p).hom_index == mu - log
 
 
 def test_on_divisor_instance_totals():
     f, a = on_divisor_instance()
     inst = Instance(f, a)
     assert total_milnor(f) == 7
-    assert rhs_total(inst) == 2
+    assert verify_instance(inst).rhs_total == 2
     assert complement_milnor_sum(inst) == 0
-    assert sum(log for _, _, log in ON_DIVISOR_TABLE) == rhs_total(inst)
+    assert sum(log for _, _, log in ON_DIVISOR_TABLE) == verify_instance(inst).rhs_total
 
 
 # ------------------------------------------------------- coordinate change
@@ -308,7 +305,7 @@ def test_invariance_under_projective_change():
     g, b = _transform(f, a, matrix)
     moved = Instance(g, b)
     assert total_milnor(g) == 7
-    assert rhs_total(moved) == 1
+    assert verify_instance(moved).rhs_total == 1
     assert complement_milnor_sum(moved) == 1
     # the off-divisor point [1:1:1] moves to [2:1:1]
     assert log_index_at_point(moved, pt(2, 1, 1)) == 1

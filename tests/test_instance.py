@@ -5,7 +5,7 @@ from collections import Counter
 
 import pytest
 
-from logfol import cli, foliations, groebner, indices
+from logfol import cli, foliations, groebner, indices, linalg
 from logfol.errors import NC_VIOLATION, NOT_LOGARITHMIC, InputError
 from logfol.foliations import Arrangement, Foliation, Instance
 from logfol.polynomials import parse_polynomial
@@ -131,3 +131,17 @@ def test_instance_runs_the_structural_checks():
     with pytest.raises(ValueError):
         Instance(f, Arrangement(3, polys(["z3"], ["z0", "z1", "z2", "z3"])))
 
+
+def test_each_subset_of_hyperplanes_is_rank_checked_once(monkeypatch):
+    # Arrangement checks the 3 pairs, Instance only the triple
+    f, _ = triangle()
+    calls = []
+
+    def rank(rows):
+        calls.append(rows)
+        return original(rows)
+
+    original = linalg.rank
+    monkeypatch.setattr(linalg, "rank", rank)
+    Instance(f, Arrangement(2, polys(README_TRIANGLE["hyperplanes"])))
+    assert len(calls) == 4
