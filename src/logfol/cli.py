@@ -84,12 +84,13 @@ def parse_spec(text: str) -> ProblemSpec:
     n = doc.get("n")
     if not isinstance(n, int) or isinstance(n, bool) or n < 1:
         raise _fail("field 'n': expected an integer >= 1")
-    names = ambient_names(n)
 
+    # the list length bounds n before anything of size n is built
     raw_comps = doc.get("foliation")
     if not isinstance(raw_comps, list) or len(raw_comps) != n + 1:
         raise _fail(f"field 'foliation': expected a list of {n + 1} "
                     "polynomial strings")
+    names = ambient_names(n)
     components = []
     for i, item in enumerate(raw_comps):
         if not isinstance(item, str):

@@ -8,8 +8,10 @@ replacing P_i by P_i + z_i * Q (the radial ambiguity of the
 representative).  No attempt is made to canonicalize representatives.
 
 Restriction to an intersection of invariant hyperplanes keeps the same
-degree-d bookkeeping: after the linear change of coordinates the dropped
-components vanish on the stratum and the surviving tuple is used as-is.
+degree-d bookkeeping: the forms are solved for some coordinates, and the
+components along the other (free) coordinates, with the solved ones
+substituted, are used as-is; tangency makes the dropped components
+vanish on the stratum.
 Dividing out a common polynomial factor would discard singular points
 that the ambient foliation really has on the stratum (a factor can
 appear on line strata), so the components are deliberately left intact;
@@ -236,86 +238,69 @@ def require_logarithmic(fol: Foliation, arr: Arrangement):
 class Stratum:
     """An intersection of hyperplanes with its parametrization.
 
-    `change` is an invertible matrix whose last rows are the chosen
-    forms; in the new coordinates w = change . z the stratum is the
-    vanishing of the trailing coordinates, and the leading m+1 of them
-    parametrize it as a P^m (or, for an affine germ's forms through the
-    origin, as affine (m+1)-space).
+    The forms are solved for the coordinates missing from `free`; the
+    coordinates `free` (ascending) parametrize the stratum as a P^m (or,
+    for an affine germ's forms through the origin, as affine
+    (m+1)-space).  `images[i]` is the linear form in the free
+    coordinates that z_i equals on the stratum.
     """
 
     indices: tuple
-    change: tuple
-    inverse: tuple
-
-    @property
-    def ambient_dim(self) -> int:
-        return len(self.change) - 1
+    free: tuple
+    images: tuple
 
     @property
     def dim(self) -> int:
-        return self.ambient_dim - len(self.indices)
+        return len(self.free) - 1
 
     def ambient_to_stratum(self, point: Sequence) -> tuple:
-        w = linalg.mat_vec(self.change, [Fraction(x) for x in point])
-        if any(w[self.dim + 1:]):
+        w = tuple(Fraction(point[i]) for i in self.free)
+        if self.stratum_to_ambient(w) != tuple(Fraction(x) for x in point):
             raise ValueError("point does not lie on the stratum")
-        return tuple(w[: self.dim + 1])
+        return w
 
     def stratum_to_ambient(self, point: Sequence) -> tuple:
-        full = list(point) + [Fraction(0)] * len(self.indices)
-        return tuple(linalg.mat_vec(self.inverse, full))
+        return tuple(image.evaluate(point) for image in self.images)
 
 
 def build_stratum(forms: Sequence[MultiPoly], indices: Sequence[int],
                   nvars: int) -> Stratum:
     """The intersection of the linear forms forms[i], i in indices.
 
-    The forms live in `nvars` variables; no index gives the whole space,
-    with the identity change of coordinates.
+    The forms live in `nvars` variables.  Their vectors are row-reduced
+    with the columns taken right to left, so the solved coordinates are
+    the last ones possible and `free` is the lexicographically first
+    complement.  No index gives the whole space, with the identity
+    parametrization.
     """
     indices = tuple(sorted(indices))
     if len(set(indices)) != len(indices):
         raise ValueError("repeated hyperplane index")
-    vectors = [_form_vector(forms[i]) for i in indices]
-    if linalg.rank(vectors) != len(vectors):
+    reduced, pivots = linalg.rref([_form_vector(forms[i])[::-1] for i in indices])
+    if len(pivots) != len(indices):
         raise InputError(NC_VIOLATION,
                          f"hyperplanes {indices} do not meet transversally")
-    if vectors:
-        change = linalg.complete_to_square(vectors)
-    else:
-        change = [[Fraction(1 if i == j else 0) for j in range(nvars)]
-                  for i in range(nvars)]
-    inverse = linalg.invert(change)
-    return Stratum(indices=indices,
-                   change=tuple(tuple(row) for row in change),
-                   inverse=tuple(tuple(row) for row in inverse))
+    # the row of solved coordinate s reads z_s + sum over free f of row[f] * z_f = 0
+    solved = {nvars - 1 - c: row[::-1] for c, row in zip(pivots, reduced)}
+    free = tuple(i for i in range(nvars) if i not in solved)
+    rows = [[-solved[i][f] if i in solved else int(i == f) for f in free]
+            for i in range(nvars)]
+    return Stratum(indices=indices, free=free, images=tuple(linear_images(rows)))
 
 
 def restrict_field(components: Sequence[MultiPoly], stratum: Stratum) -> tuple:
     """The field components restricted to a stratum, in its coordinates.
 
-    Substitutes z = inverse . w, combines the results by the rows of
-    `change` and keeps the leading dim+1 of them with the trailing
-    coordinates set to 0.  Tangency makes the dropped components vanish
-    on the stratum; NOT_LOGARITHMIC otherwise.  The whole space (no
-    index) returns the components unchanged.
+    The components along the free coordinates, with every coordinate
+    replaced by its image.  The field must be tangent to the stratum, so
+    that the dropped components vanish there; `Instance` and
+    `indices.germ_log_index` check that where the forms come in.  The
+    whole space (no index) returns the components unchanged.
     """
     components = tuple(components)
     if not stratum.indices:
         return components
-    keep = stratum.dim + 1
-    images = linear_images(stratum.inverse)
-    transformed = [p.compose(images) for p in components]
-    combined = []
-    for row in stratum.change:
-        q = MultiPoly.zero(len(row))
-        for coeff, p in zip(row, transformed):
-            if coeff:
-                q = q + p * coeff
-        combined.append(q.set_trailing_zero(keep))
-    if any(not q.is_zero() for q in combined[keep:]):
-        raise InputError(NOT_LOGARITHMIC, f"stratum {stratum.indices} is not invariant")
-    return tuple(combined[:keep])
+    return tuple(components[j].compose(stratum.images) for j in stratum.free)
 
 
 # ----------------------------------------------------------------- instance

@@ -26,14 +26,12 @@ from fractions import Fraction
 from itertools import combinations
 from typing import Sequence
 
-from . import linalg
 from .chern import ChernInput, lhs_integral
-from .errors import NC_VIOLATION, NOT_LOGARITHMIC, InputError
+from .errors import NOT_LOGARITHMIC, InputError
 from .foliations import (
     Arrangement,
     Foliation,
     Instance,
-    _form_vector,
     build_stratum,
     is_invariant,
     restrict_field,
@@ -46,7 +44,7 @@ from .groebner import (
     saturate,
     supported_length,
 )
-from .polynomials import MultiPoly
+from .polynomials import MAX_COEFFICIENT_BITS, MultiPoly
 
 
 # ------------------------------------------------------------------- points
@@ -65,7 +63,20 @@ class RationalPoint:
 
     @classmethod
     def parse(cls, items: Sequence) -> "RationalPoint":
-        return cls([Fraction(str(x)) for x in items])
+        """A point from coordinates such as "3", "-1/2" or "0.25".
+
+        Raises ValueError on an exponent ("1e5"), before its power of ten
+        is built, and on a canonical coordinate whose numerator or
+        denominator has more than MAX_COEFFICIENT_BITS bits.
+        """
+        texts = [str(x) for x in items]
+        if any("e" in text.lower() for text in texts):
+            raise ValueError("coordinates take no exponent")
+        point = cls([Fraction(text) for text in texts])
+        bits = max(max(abs(c.numerator), c.denominator).bit_length() for c in point.coords)
+        if bits > MAX_COEFFICIENT_BITS:
+            raise ValueError(f"coordinate of {bits} bits above {MAX_COEFFICIENT_BITS}")
+        return point
 
     @property
     def n(self) -> int:
@@ -227,15 +238,6 @@ class StratumTotal:
     total: int
 
 
-def _point_stratum_point(arr: Arrangement, indices) -> RationalPoint:
-    vectors = [_form_vector(arr.forms[i]) for i in indices]
-    kernel = linalg.nullspace(vectors)
-    if len(kernel) != 1:
-        raise InputError(NC_VIOLATION,
-                         f"hyperplanes {indices} do not meet transversally")
-    return RationalPoint(kernel[0])
-
-
 def stratum_breakdown(inst: Instance) -> list:
     """Signed total Milnor numbers of all stratum restrictions.
 
@@ -253,7 +255,8 @@ def stratum_breakdown(inst: Instance) -> list:
             if size == 0:
                 value = total_milnor(fol)
             elif size == n:
-                point = _point_stratum_point(arr, subset)
+                stratum = build_stratum(arr.forms, subset, n + 1)
+                point = RationalPoint(stratum.stratum_to_ambient([1]))
                 value = 1 if is_singular_point(fol, point) else 0
             else:
                 value = total_milnor(inst.restriction(subset)[0])

@@ -1,8 +1,9 @@
 """Small exact linear algebra helpers over Fraction.
 
-Row operations only; matrices are lists of lists of Fraction and stay
-small (at most a few dozen rows), so no pivoting strategy beyond "first
-nonzero" is needed.
+Reduced row echelon form and rank, matrix products, and the stable row
+space of a matrix's powers.  Row operations only; matrices are lists of
+lists of Fraction and stay small (at most a few dozen rows), so no
+pivoting strategy beyond "first nonzero" is needed.
 """
 
 from __future__ import annotations
@@ -11,13 +12,9 @@ from fractions import Fraction
 from typing import Sequence
 
 
-def _copy(rows) -> list:
-    return [[Fraction(x) for x in row] for row in rows]
-
-
 def rref(rows: Sequence[Sequence]) -> tuple[list, list]:
     """Reduced row echelon form.  Returns (rows, pivot column indices)."""
-    m = _copy(rows)
+    m = [[Fraction(x) for x in row] for row in rows]
     if not m:
         return [], []
     ncols = len(m[0])
@@ -43,24 +40,6 @@ def rref(rows: Sequence[Sequence]) -> tuple[list, list]:
 
 def rank(rows: Sequence[Sequence]) -> int:
     return len(rref(rows)[1])
-
-
-def invert(matrix: Sequence[Sequence]) -> list:
-    """Inverse of a square matrix; raises ValueError when singular."""
-    n = len(matrix)
-    if any(len(row) != n for row in matrix):
-        raise ValueError("matrix is not square")
-    aug = [[Fraction(x) for x in row] + [Fraction(1 if i == j else 0) for j in range(n)]
-           for i, row in enumerate(matrix)]
-    reduced, pivots = rref(aug)
-    if pivots[:n] != list(range(n)):
-        raise ValueError("matrix is singular")
-    return [row[n:] for row in reduced]
-
-
-def mat_vec(matrix: Sequence[Sequence], vec: Sequence) -> list:
-    return [sum((Fraction(a) * Fraction(x) for a, x in zip(row, vec)), Fraction(0))
-            for row in matrix]
 
 
 def mat_mul(a: Sequence[Sequence], b: Sequence[Sequence]) -> list:
@@ -94,43 +73,3 @@ def stable_row_space(matrix: Sequence[Sequence]) -> list:
             break
         rows = reduced[:len(pivots)]
     return rows
-
-
-def nullspace(rows: Sequence[Sequence]) -> list:
-    """Basis of the right kernel, one list per basis vector."""
-    if not rows:
-        raise ValueError("need at least one row")
-    ncols = len(rows[0])
-    reduced, pivots = rref(rows)
-    free = [c for c in range(ncols) if c not in pivots]
-    basis = []
-    for fc in free:
-        vec = [Fraction(0)] * ncols
-        vec[fc] = Fraction(1)
-        for r, pc in enumerate(pivots):
-            vec[pc] = -reduced[r][fc]
-        basis.append(vec)
-    return basis
-
-
-def complete_to_square(rows: Sequence[Sequence]) -> list:
-    """Extend independent rows to an invertible matrix.
-
-    Standard basis vectors are prepended greedily (lowest index first),
-    keeping the given rows as the *last* rows of the result.
-    """
-    given = _copy(rows)
-    n = len(given[0]) if given else 0
-    if rank(given) != len(given):
-        raise ValueError("rows are dependent")
-    chosen: list = []
-    for j in range(n):
-        if len(chosen) + len(given) == n:
-            break
-        e = [Fraction(1 if c == j else 0) for c in range(n)]
-        if rank(chosen + [e] + given) > len(chosen) + len(given):
-            chosen.append(e)
-    full = chosen + given
-    if rank(full) != n:
-        raise ValueError("could not complete to a basis")
-    return full

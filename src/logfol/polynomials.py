@@ -331,15 +331,6 @@ class MultiPoly:
             terms[exps] = terms.get(exps, Fraction(0)) + c
         return MultiPoly(self.nvars - 1, terms)
 
-    def set_trailing_zero(self, keep: int) -> "MultiPoly":
-        """Set the last nvars-keep variables to 0 and drop them."""
-        terms = {}
-        for e, c in self.terms.items():
-            if any(e[keep:]):
-                continue
-            terms[e[:keep]] = c
-        return MultiPoly(keep, terms)
-
     # -- presentation --------------------------------------------------------
 
     def __str__(self):
@@ -351,12 +342,12 @@ class MultiPoly:
 
 # ------------------------------------------------------------- substitutions
 
-def linear_images(matrix: Sequence[Sequence]) -> list:
-    """The images of the variables under x -> M.x: one linear form per row."""
-    n = len(matrix)
+def linear_images(rows: Sequence[Sequence]) -> list:
+    """One linear form per row, in as many variables as the rows are long."""
+    n = len(rows[0])
     return [MultiPoly(n, {tuple(1 if j == k else 0 for k in range(n)): row[j]
                           for j in range(n) if row[j] != 0})
-            for row in matrix]
+            for row in rows]
 
 
 # ------------------------------------------------------------------- parsing

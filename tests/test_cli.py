@@ -8,6 +8,7 @@ import pytest
 
 from logfol.cli import main, parse_spec
 from logfol.errors import InputError
+from logfol.indices import RationalPoint
 from logfol.polynomials import MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_TERMS
 
 TRIANGLE = {
@@ -135,6 +136,8 @@ ERROR_DOCS = [
     ({"n": 2, "foliation": ["0", "z1*(z1 - z0)", "z2*(z2 - z0)"],
       "hyperplanes": [], "points": [["0", "0", "0"]]}, "SYNTAX_ERROR"),
     ({"n": 0, "foliation": ["0"], "hyperplanes": []}, "SYNTAX_ERROR"),
+    # the list length is checked before anything of size n is built
+    ({"n": 10**8, "foliation": ["0", "z1", "z2"], "hyperplanes": []}, "SYNTAX_ERROR"),
     ({"n": 2, "foliation": ["0", "z1*(z1 - z0)", "z2*(z2 - z0)"],
       "hyperplanes": [], "extra": 1}, "SYNTAX_ERROR"),
 ]
@@ -177,6 +180,30 @@ def test_terms_and_coefficients_over_budget_exit_two(tmp_path, capsys, component
     err = capsys.readouterr().err
     assert err.startswith("error SYNTAX_ERROR: foliation[1]:")
     assert f"above {limit}" in err
+
+
+BIG = 3 ** 4000  # 6340 bits: within MAX_COEFFICIENT_BITS alone, above it once scaled
+
+
+@pytest.mark.parametrize("coords", [
+    ["1e10000", "1", "1"], ["1", "2E3", "1"], ["1", f"1/{3 ** 7000}", "1"],
+    [f"1/{BIG}", str(BIG), "1"],
+], ids=["exponent", "capital-exponent", "long-denominator", "long-once-scaled"])
+def test_point_coordinates_over_budget_exit_two(tmp_path, capsys, coords):
+    doc = dict(TRIANGLE, points=[coords])
+    assert main(["verify", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err.startswith("error SYNTAX_ERROR: points[0]:")
+    doc = dict(TRIANGLE, points=[])
+    argv = ["indices", write_doc(tmp_path, doc), "--point", ",".join(coords)]
+    assert main(argv) == 2
+    assert capsys.readouterr().err.startswith("error SYNTAX_ERROR: --point")
+
+
+def test_point_coordinate_budget_is_inclusive():
+    limit = str(2 ** MAX_COEFFICIENT_BITS - 1)
+    assert RationalPoint.parse(["1", limit, f"1/{limit}"]).coords[1] == int(limit)
+    with pytest.raises(ValueError):
+        RationalPoint.parse(["1", str(2 ** MAX_COEFFICIENT_BITS), "1"])
 
 
 def test_missing_file_exits_two(capsys):

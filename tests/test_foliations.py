@@ -1,6 +1,9 @@
 from fractions import Fraction
+from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from logfol.errors import (
     DEGREE_MISMATCH,
@@ -16,12 +19,12 @@ from logfol.foliations import (
     build_stratum,
     is_logarithmic,
     require_logarithmic,
-    restrict_field,
     validate_arrangement,
 )
 from logfol.groebner import quotient_dimension
 from logfol.indices import RationalPoint, milnor_at_point, point_milnor, total_milnor
-from logfol.polynomials import linear_images, parse_polynomial
+from logfol.linalg import rank
+from logfol.polynomials import MultiPoly, linear_images, parse_polynomial
 
 P2 = ["z0", "z1", "z2"]
 P3 = ["z0", "z1", "z2", "z3"]
@@ -207,6 +210,59 @@ def test_stratum_point_maps_round_trip():
     assert stratum.ambient_to_stratum(inside) == (Fraction(1), Fraction(5))
     with pytest.raises(ValueError):
         stratum.ambient_to_stratum([1, 1, 1])
+    # the forms solve for z1 and z2; the point stratum is z0 = 3w, z1 = -2w, z2 = w
+    forms = [parse_polynomial(t, P2) for t in ["z0 + z1 - z2", "z1 + 2*z2"]]
+    sheared = build_stratum(forms, [0, 1], 3)
+    assert sheared.free == (0,)
+    assert sheared.stratum_to_ambient([Fraction(3)]) == (3, -2, 1)
+    assert sheared.ambient_to_stratum([6, -4, 2]) == (6,)
+    with pytest.raises(ValueError):
+        sheared.ambient_to_stratum([3, -2, 2])
+
+
+@st.composite
+def independent_rows(draw):
+    """(nvars, rows): 1 to nvars-1 independent integer form vectors, mostly sparse."""
+    nvars = draw(st.integers(2, 5))
+    k = draw(st.integers(1, nvars - 1))
+    entry = st.sampled_from((0, 0, 1, -1, 2))
+    rows = draw(st.lists(st.lists(entry, min_size=nvars, max_size=nvars),
+                         min_size=k, max_size=k))
+    assume(rank(rows) == k)
+    return nvars, rows
+
+
+@given(independent_rows())
+@settings(max_examples=200, deadline=None)
+def test_build_stratum_solves_the_forms(case):
+    nvars, rows = case
+    forms = linear_images(rows)
+    stratum = build_stratum(forms, range(len(forms)), nvars)
+    # the images parametrize the common zeros of the forms ...
+    assert all(f.compose(stratum.images).is_zero() for f in forms)
+    # ... by the free coordinates themselves
+    m = len(stratum.free)
+    assert all(stratum.images[j] == MultiPoly.variable(m, t)
+               for t, j in enumerate(stratum.free))
+    # free is the lexicographically first complement whose columns leave the
+    # forms solvable; the restricted fields, and so the Groebner work and the
+    # golden reports, depend on this choice
+    first = next(free for free in combinations(range(nvars), nvars - len(rows))
+                 if rank([[row[i] for i in range(nvars) if i not in free]
+                          for row in rows]) == len(rows))
+    assert stratum.free == first
+    # one more form that depends on the others
+    extra = linear_images([[a + 2 * b for a, b in zip(rows[0], rows[-1])]])
+    with pytest.raises(InputError) as err:
+        build_stratum(forms + extra, range(len(forms) + 1), nvars)
+    assert err.value.code == NC_VIOLATION
+
+
+def test_build_stratum_rejects_dependent_forms():
+    with pytest.raises(InputError) as err:
+        build_stratum(arr(["z0", "z1", "z0 + z1"]).forms, [0, 1, 2], 3)
+    assert err.value.code == NC_VIOLATION
+    assert err.value.message == "hyperplanes (0, 1, 2) do not meet transversally"
 
 
 def test_restrict_empty_subset_is_identity():
@@ -233,14 +289,6 @@ def test_restrict_rejects_point_strata_and_duplicates():
         inst.restriction([1, 1])
 
 
-def test_restrict_requires_invariance():
-    f = triangle_foliation()
-    a = arr(["z0 + z1"])
-    with pytest.raises(InputError) as err:
-        restrict_field(f.components, build_stratum(a.forms, [0], 3))
-    assert err.value.code == NOT_LOGARITHMIC
-
-
 def test_restriction_keeps_shared_component_factors():
     # on the line z0 = 0 the components share the factor z2; it stays,
     # so the stratum total still counts a fat point and adds up to 1 + d
@@ -252,11 +300,6 @@ def test_restriction_keeps_shared_component_factors():
     assert total_milnor(restricted) == 3
 
 
-def _push_form(form, stratum):
-    # rewrite an ambient linear form in the coordinates of the stratum
-    return form.compose(linear_images(stratum.inverse)).set_trailing_zero(stratum.dim + 1)
-
-
 def test_restriction_commutes_with_further_restriction():
     f = fol(["0", "z1*(z1 - z0)", "z2*(z2 - z0)", "z3*(z3 - z0)"], P3)
     a = arr(["z2", "z3"], P3)
@@ -264,7 +307,8 @@ def test_restriction_commutes_with_further_restriction():
     direct, direct_stratum = Instance(f, a).restriction([0, 1])
 
     first, stratum1 = Instance(f, a).restriction([0])
-    pushed = _push_form(a.forms[1], stratum1)
+    # the second form, written in the coordinates of the first stratum
+    pushed = a.forms[1].compose(stratum1.images)
     second, stratum2 = Instance(first, Arrangement(first.n, [pushed])).restriction([0])
 
     assert direct.n == second.n == 1

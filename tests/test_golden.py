@@ -1,8 +1,11 @@
-"""Byte-for-byte reports of every command on the README triangle.
+"""Byte-for-byte reports of every command on two fixed problems.
 
 The files under tests/golden/ hold the exact standard output of
-``logfol --report {json,text} <command> triangle.json`` for the README
-problem; any change to a report, however small, fails here.
+``logfol --report {json,text} <command> <problem>.json``: every command
+on the README triangle, and ``verify`` on a P^3 instance whose
+hyperplanes are not coordinate hyperplanes, so that its strata are
+parametrized by a non-trivial choice of free coordinates.  Any change to
+a report, however small, fails here.
 """
 
 import json
@@ -19,20 +22,32 @@ README_TRIANGLE = {
     "hyperplanes": ["z0", "z1", "z2"],
     "points": [["1", "1", "1"], ["1", "0", "0"]],
 }
+# a grid field z_i*(z_i - z_0) on P^3 after a unimodular change of
+# coordinates; the points lie on a line stratum, on a point stratum and
+# off the divisor
+P3_SHEARED = {
+    "n": 3,
+    "foliation": ["z0^2 - z0*z1 - z0*z2 - 2*z2^2", "-2*z0*z2 + z1*z2 - 2*z2^2",
+                  "2*z0*z2 - z1*z2 + 2*z2^2", "-z1*z3 - z2*z3 + z3^2"],
+    "hyperplanes": ["z1 + z2", "-z1 - z2 + z3", "z0 + 2*z2", "z0 - z1"],
+    "points": [["0", "1", "0", "1"], ["1", "1", "-1/2", "1/2"], ["1", "0", "-1", "0"]],
+}
 COMMANDS = {
-    "verify-check-sigma": ["verify", "{path}", "--check-sigma"],
-    "chern-check-sigma": ["chern", "{path}", "--check-sigma"],
-    "indices": ["indices", "{path}", "--point", "0,1,1"],
-    "count-complement": ["count-complement", "{path}"],
+    "verify-check-sigma": (README_TRIANGLE, ["verify", "{path}", "--check-sigma"]),
+    "chern-check-sigma": (README_TRIANGLE, ["chern", "{path}", "--check-sigma"]),
+    "indices": (README_TRIANGLE, ["indices", "{path}", "--point", "0,1,1"]),
+    "count-complement": (README_TRIANGLE, ["count-complement", "{path}"]),
+    "verify-p3-sheared": (P3_SHEARED, ["verify", "{path}", "--check-sigma"]),
 }
 
 
 @pytest.mark.parametrize("report,suffix", [("json", "json"), ("text", "txt")])
 @pytest.mark.parametrize("name", sorted(COMMANDS))
 def test_report_matches_golden(tmp_path, capsys, name, report, suffix):
-    path = tmp_path / "triangle.json"
-    path.write_text(json.dumps(README_TRIANGLE))
-    argv = [arg.format(path=path) for arg in COMMANDS[name]]
+    problem, command = COMMANDS[name]
+    path = tmp_path / "problem.json"
+    path.write_text(json.dumps(problem))
+    argv = [arg.format(path=path) for arg in command]
     assert main(["--report", report, *argv]) == 0
     expected = (GOLDEN / f"{name}.{suffix}").read_text(encoding="utf-8")
     assert capsys.readouterr().out == expected

@@ -69,9 +69,9 @@ def count_work(monkeypatch, argv):
                         counted(groebner._reduced_groebner, bases, basis_key))
     monkeypatch.setattr(Foliation, "__init__",
                         counted(Foliation.__init__, built, foliation_key))
-    monkeypatch.setattr(foliations, "build_stratum",
-                        counted(foliations.build_stratum, restricted,
-                                lambda forms, idx, nvars: tuple(sorted(idx))))
+    monkeypatch.setattr(foliations, "restrict_field",
+                        counted(foliations.restrict_field, restricted,
+                                lambda components, stratum: stratum.indices))
     assert cli.main(argv) == 0
     bases.pop(None, None)
     return bases, built, restricted, foliations_built

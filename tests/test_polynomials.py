@@ -151,13 +151,6 @@ def test_dehomogenize_merges_colliding_terms():
     assert p.dehomogenize(2) == poly("2*x")
 
 
-def test_set_trailing_zero_drops_variables():
-    p = parse_polynomial("x + y*z + z^2", XYZ)
-    q = p.set_trailing_zero(2)
-    assert q == poly("x")
-    assert q.nvars == 2
-
-
 # ------------------------------------------------------------ substitution
 
 
