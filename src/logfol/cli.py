@@ -31,7 +31,7 @@ import json
 import sys
 from dataclasses import dataclass
 
-from .chern import closed_form_sigma, lhs_integral, sigma_convention_note
+from .chern import SIGMA_CONVENTION_NOTE, closed_form_sigma, lhs_integral
 from .errors import SYNTAX_ERROR, InputError
 from .foliations import Arrangement, Foliation, Instance, ambient_names
 from .indices import (
@@ -41,7 +41,7 @@ from .indices import (
     point_record,
     verify_instance,
 )
-from .polynomials import parse_polynomial
+from .polynomials import clipped_repr, parse_polynomial
 
 
 @dataclass(frozen=True)
@@ -58,6 +58,19 @@ class ProblemSpec:
 
 def _fail(message: str) -> InputError:
     return InputError(SYNTAX_ERROR, message)
+
+
+def _parse_polynomials(field: str, items: list, names: list) -> list:
+    """The polynomial strings of one list field, each error naming its item."""
+    polys = []
+    for i, item in enumerate(items):
+        if not isinstance(item, str):
+            raise _fail(f"{field}[{i}]: expected a string")
+        try:
+            polys.append(parse_polynomial(item, names))
+        except ValueError as exc:
+            raise _fail(f"{field}[{i}]: {exc}") from None
+    return polys
 
 
 def parse_spec(text: str) -> ProblemSpec:
@@ -91,26 +104,12 @@ def parse_spec(text: str) -> ProblemSpec:
         raise _fail(f"field 'foliation': expected a list of {n + 1} "
                     "polynomial strings")
     names = ambient_names(n)
-    components = []
-    for i, item in enumerate(raw_comps):
-        if not isinstance(item, str):
-            raise _fail(f"foliation[{i}]: expected a string")
-        try:
-            components.append(parse_polynomial(item, names))
-        except ValueError as exc:
-            raise _fail(f"foliation[{i}]: {exc}") from None
+    components = _parse_polynomials("foliation", raw_comps, names)
 
     raw_forms = doc.get("hyperplanes", [])
     if not isinstance(raw_forms, list):
         raise _fail("field 'hyperplanes': expected a list of linear forms")
-    forms = []
-    for i, item in enumerate(raw_forms):
-        if not isinstance(item, str):
-            raise _fail(f"hyperplanes[{i}]: expected a string")
-        try:
-            forms.append(parse_polynomial(item, names))
-        except ValueError as exc:
-            raise _fail(f"hyperplanes[{i}]: {exc}") from None
+    forms = _parse_polynomials("hyperplanes", raw_forms, names)
 
     raw_points = doc.get("points", [])
     if not isinstance(raw_points, list):
@@ -120,6 +119,9 @@ def parse_spec(text: str) -> ProblemSpec:
         if not isinstance(item, list) or len(item) != n + 1:
             raise _fail(f"points[{i}]: expected {n + 1} homogeneous "
                         "coordinates")
+        # a bool is an int to Python, and str(True) would read as an exponent
+        if any(isinstance(x, bool) or not isinstance(x, (str, int, float)) for x in item):
+            raise _fail(f"points[{i}]: coordinates must be numbers or strings")
         try:
             points.append(RationalPoint.parse(item))
         except (ValueError, TypeError, ZeroDivisionError) as exc:
@@ -165,7 +167,7 @@ def _add_sigma(payload: dict, inst: Instance) -> dict:
     sigma = closed_form_sigma(chern_input(inst))
     payload.update(sigma_closed_form=sigma,
                    sigma_matches=sigma == payload["lhs_chern"],
-                   warnings=[sigma_convention_note()])
+                   warnings=[SIGMA_CONVENTION_NOTE])
     return payload
 
 
@@ -252,12 +254,12 @@ def render_json(payload: dict) -> str:
 def _parse_cli_point(text: str, n: int) -> RationalPoint:
     parts = [piece.strip() for piece in text.split(",")]
     if len(parts) != n + 1:
-        raise _fail(f"--point {text!r}: expected {n + 1} comma-separated "
+        raise _fail(f"--point {clipped_repr(text)}: expected {n + 1} comma-separated "
                     "coordinates")
     try:
         return RationalPoint.parse(parts)
     except (ValueError, ZeroDivisionError) as exc:
-        raise _fail(f"--point {text!r}: {exc}") from None
+        raise _fail(f"--point {clipped_repr(text)}: {exc}") from None
 
 
 def build_parser() -> argparse.ArgumentParser:

@@ -7,6 +7,11 @@ components (P_i - x_i * P_j) with z_j set to 1, which is invariant under
 replacing P_i by P_i + z_i * Q (the radial ambiguity of the
 representative).  No attempt is made to canonicalize representatives.
 
+Each hypothesis of the residue formula has one owner: `Foliation`
+checks that the singularities are isolated, `Arrangement` that the
+hyperplanes cross normally, and `Instance` that each hyperplane is
+invariant (the foliation is logarithmic along the arrangement).
+
 Restriction to an intersection of invariant hyperplanes keeps the same
 degree-d bookkeeping: the forms are solved for some coordinates, and the
 components along the other (free) coordinates, with the solved ones
@@ -22,6 +27,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import combinations
 from typing import Sequence
 
 from . import linalg
@@ -41,18 +47,6 @@ def ambient_names(n: int) -> list:
 
 
 # ---------------------------------------------------------------- foliation
-
-@dataclass(frozen=True)
-class AffineField:
-    """The vector field of a foliation in one standard affine chart."""
-
-    chart: int
-    components: tuple
-
-    @property
-    def nvars(self) -> int:
-        return len(self.components)
-
 
 class Foliation:
     """A validated foliation on P^n with isolated singularities."""
@@ -88,8 +82,7 @@ class Foliation:
     def _validate(self):
         # Reject the radial-only degenerate representative, then demand a
         # zero-dimensional singular scheme in every chart.
-        if all(c.is_zero() for f in (self.chart_field(j) for j in range(self.n + 1))
-               for c in f.components):
+        if all(c.is_zero() for j in range(self.n + 1) for c in self.chart_field(j)):
             raise InputError(POSITIVE_DIM_SING,
                              "radial representative: every point would be singular")
         for j in range(self.n + 1):
@@ -99,8 +92,8 @@ class Foliation:
                     POSITIVE_DIM_SING,
                     f"singular scheme has positive dimension in chart {j}")
 
-    def chart_field(self, j: int) -> AffineField:
-        """Affine field in chart j: components (P_i - x_i P_j) at z_j = 1."""
+    def chart_field(self, j: int) -> tuple:
+        """Affine field components in chart j: (P_i - x_i P_j) at z_j = 1."""
         if j in self._fields:
             return self._fields[j]
         if not 0 <= j <= self.n:
@@ -113,9 +106,8 @@ class Foliation:
             local = i if i < j else i - 1
             xi = MultiPoly.variable(self.n, local)
             comps.append(self.components[i].dehomogenize(j) - xi * pj)
-        field = AffineField(chart=j, components=tuple(comps))
-        self._fields[j] = field
-        return field
+        self._fields[j] = tuple(comps)
+        return self._fields[j]
 
     def singular_ideal(self, j: int) -> Ideal:
         """Ideal of the chart-j vector field components, basis cached.
@@ -124,19 +116,11 @@ class Foliation:
         ideal, so its basis is computed once.
         """
         if j not in self._ideals:
-            gens = [c for c in self.chart_field(j).components if not c.is_zero()]
+            gens = [c for c in self.chart_field(j) if not c.is_zero()]
             same = [ideal for ideal in self._ideals.values()
                     if set(ideal.generators) == set(gens)]
             self._ideals[j] = same[0] if same else buchberger(gens, self.n)
         return self._ideals[j]
-
-    def __eq__(self, other):
-        if not isinstance(other, Foliation):
-            return NotImplemented
-        return self.components == other.components
-
-    def __hash__(self):
-        return hash(self.components)
 
     def __repr__(self):
         names = ambient_names(self.n)
@@ -147,7 +131,13 @@ class Foliation:
 # --------------------------------------------------------------- arrangement
 
 class Arrangement:
-    """Finitely many pairwise non-proportional hyperplanes in P^n."""
+    """Finitely many hyperplanes in P^n crossing normally.
+
+    Dependent subsets of size <= n+1 always share a projective point, so
+    linear independence of every such subset is exactly the
+    normal-crossing condition for hyperplanes.  The pairs are checked
+    first, then the larger subsets.
+    """
 
     __slots__ = ("n", "forms")
 
@@ -158,16 +148,18 @@ class Arrangement:
                     or not f.is_homogeneous():
                 raise InputError(NC_VIOLATION,
                                  f"hyperplane {idx} is not a nonzero linear form")
-        for i in range(len(forms)):
-            for j in range(i + 1, len(forms)):
-                if linalg.rank([_form_vector(forms[i]), _form_vector(forms[j])]) < 2:
-                    raise InputError(NC_VIOLATION,
-                                     f"hyperplanes {i} and {j} are proportional")
+        vectors = [_form_vector(f) for f in forms]
+        for size in range(2, min(len(forms), n + 1) + 1):
+            for subset in combinations(range(len(forms)), size):
+                if linalg.rank([vectors[i] for i in subset]) < size:
+                    listed = ", ".join(str(i) for i in subset)
+                    message = (f"hyperplanes {subset[0]} and {subset[1]} are proportional"
+                               if size == 2 else
+                               f"hyperplanes {{{listed}}} are linearly dependent "
+                               "but meet in projective space")
+                    raise InputError(NC_VIOLATION, message)
         self.n = n
         self.forms = forms
-
-    def __len__(self):
-        return len(self.forms)
 
     def __repr__(self):
         names = ambient_names(self.n)
@@ -178,27 +170,6 @@ def _form_vector(form: MultiPoly) -> list:
     n = form.nvars
     return [form.coefficient(tuple(1 if j == i else 0 for j in range(n)))
             for i in range(n)]
-
-
-def validate_arrangement(arr: Arrangement):
-    """Raise NC_VIOLATION unless the arrangement is normal crossing.
-
-    Dependent subsets of size <= n+1 always share a projective point, so
-    checking linear independence of every such subset is exactly the
-    normal-crossing condition for hyperplanes.  `Arrangement` has
-    already checked the pairs, so the subsets start at size 3.
-    """
-    from itertools import combinations
-
-    vectors = [_form_vector(f) for f in arr.forms]
-    k = len(vectors)
-    for size in range(3, min(k, arr.n + 1) + 1):
-        for subset in combinations(range(k), size):
-            if linalg.rank([vectors[i] for i in subset]) < size:
-                listed = ", ".join(str(i) for i in subset)
-                raise InputError(NC_VIOLATION,
-                                 f"hyperplanes {{{listed}}} are linearly dependent "
-                                 "but meet in projective space")
 
 
 def is_invariant(components: Sequence[MultiPoly], form: MultiPoly) -> bool:
@@ -213,23 +184,6 @@ def is_invariant(components: Sequence[MultiPoly], form: MultiPoly) -> bool:
         if a:
             along = along + p * a
     return along.is_zero() or divide(along, [form], GREVLEX)[1].is_zero()
-
-
-def is_logarithmic(fol: Foliation, form: MultiPoly) -> bool:
-    """True when the hyperplane {form = 0} is invariant for the foliation."""
-    if form.nvars != fol.n + 1 or form.total_degree() != 1 or not form.is_homogeneous():
-        raise ValueError("expected a nonzero linear form in the ambient ring")
-    return is_invariant(fol.components, form)
-
-
-def require_logarithmic(fol: Foliation, arr: Arrangement):
-    """Raise NOT_LOGARITHMIC naming the first non-invariant hyperplane."""
-    names = ambient_names(arr.n)
-    for i, form in enumerate(arr.forms):
-        if not is_logarithmic(fol, form):
-            text = format_poly(form, names)
-            raise InputError(NOT_LOGARITHMIC,
-                             f"hyperplane {i} ({text}) is not invariant")
 
 
 # ------------------------------------------------------------------- strata
@@ -308,11 +262,12 @@ def restrict_field(components: Sequence[MultiPoly], stratum: Stratum) -> tuple:
 class Instance:
     """A foliation with a normal-crossing arrangement of invariant hyperplanes.
 
-    The constructor runs the checks a `Foliation` leaves open, once: the
-    arrangement is normal crossing and every hyperplane is invariant.
-    Code handed an `Instance` never re-validates it.  The chart bases
-    stay cached on the foliation, and each stratum restriction is built
-    at most once, as one `Foliation` per distinct restricted field.
+    The constructor runs the one check neither part makes on its own,
+    once: every hyperplane is invariant for the foliation, and the first
+    that is not raises NOT_LOGARITHMIC.  Code handed an `Instance` never
+    re-validates it.  The chart bases stay cached on the foliation, and
+    each stratum restriction is built at most once, as one `Foliation`
+    per distinct restricted field.
     """
 
     __slots__ = ("fol", "arr", "_restrictions", "_foliations")
@@ -320,8 +275,11 @@ class Instance:
     def __init__(self, fol: Foliation, arr: Arrangement):
         if arr.n != fol.n:
             raise ValueError("foliation and arrangement live in different spaces")
-        validate_arrangement(arr)
-        require_logarithmic(fol, arr)
+        for i, form in enumerate(arr.forms):
+            if not is_invariant(fol.components, form):
+                text = format_poly(form, ambient_names(arr.n))
+                raise InputError(NOT_LOGARITHMIC,
+                                 f"hyperplane {i} ({text}) is not invariant")
         self.fol = fol
         self.arr = arr
         self._restrictions = {}

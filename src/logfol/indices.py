@@ -79,10 +79,6 @@ class RationalPoint:
         return point
 
     @property
-    def n(self) -> int:
-        return len(self.coords) - 1
-
-    @property
     def chart_index(self) -> int:
         return next(i for i, c in enumerate(self.coords) if c != 0)
 
@@ -143,7 +139,7 @@ def milnor_at_maximal_ideal(ideal: Ideal, locus: Ideal) -> int:
 def is_singular_point(fol: Foliation, point: RationalPoint) -> bool:
     j = point.chart_index
     aff = point.affine_coords(j)
-    return all(c.evaluate(aff) == 0 for c in fol.chart_field(j).components)
+    return all(c.evaluate(aff) == 0 for c in fol.chart_field(j))
 
 
 def point_milnor(fol: Foliation, point: RationalPoint) -> int:

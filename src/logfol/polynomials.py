@@ -366,6 +366,11 @@ MAX_TERMS = 2000
 MAX_COEFFICIENT_BITS = 10000
 
 
+def clipped_repr(text: str) -> str:
+    """repr of the first 200 characters of text, then "..." if it is longer."""
+    return repr(text[:200]) + ("..." if len(text) > 200 else "")
+
+
 class _Scanner:
     def __init__(self, text: str):
         self.text = text
@@ -385,7 +390,7 @@ class _Scanner:
         return ch
 
     def error(self, msg):
-        raise ValueError(f"{msg} at position {self.pos} in {self.text!r}")
+        raise ValueError(f"{msg} at position {self.pos} in {clipped_repr(self.text)}")
 
     def integer(self) -> int:
         self.skip_ws()

@@ -8,16 +8,19 @@ MultiPoly constructor; none of them uses Groebner machinery.  The jet
 oracle `milnor_oracle` is the second Milnor route next to the
 saturation of `logfol.indices`: it computes a different ideal with the
 package's own bases.  `recursion_check` checks the Chern integral across
-hyperplane sections, and `linear_substitute` and `LEX` serve the tests
-that move instances and compare monomial orders.
+hyperplane sections, and `closed_form_sigma_positive_args` is the
+closed form with the sign convention the Chern side does not use.
+`linear_substitute` and `LEX` serve the tests that move instances and
+compare monomial orders.
 """
 
 from fractions import Fraction
 from itertools import combinations_with_replacement
+from math import comb
 from operator import neg
 
 from logfol import linalg
-from logfol.chern import ChernInput, lhs_integral
+from logfol.chern import ChernInput, complete_homogeneous, lhs_integral
 from logfol.groebner import INFINITE, buchberger, quotient_dimension
 from logfol.polynomials import MonomialOrder, MultiPoly, linear_images
 
@@ -93,6 +96,17 @@ def recursion_check(data: ChernInput, drop: int) -> bool:
     without = lhs_integral(ChernInput(data.n, rest, data.foliation_degree))
     on_component = lhs_integral(ChernInput(data.n - 1, rest, data.foliation_degree))
     return whole == without - on_component
+
+
+def closed_form_sigma_positive_args(data: ChernInput) -> int:
+    """`chern.closed_form_sigma` with all-positive arguments.
+
+    sum_{i=0}^{n} C(n+1, i) * h_{n-i}(d_1, ..., d_k, d-1); it disagrees
+    with the integral, which is what the --check-sigma note quotes.
+    """
+    args = list(data.divisor_degrees) + [data.foliation_degree - 1]
+    return sum(comb(data.n + 1, i) * complete_homogeneous(data.n - i, args)
+               for i in range(data.n + 1))
 
 
 def monomials_upto(nvars: int, degree: int) -> list:

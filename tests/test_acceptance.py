@@ -13,15 +13,14 @@ import time
 from fractions import Fraction
 from itertools import combinations_with_replacement, product
 
-from oracles import brute_quotient_dimension, milnor_oracle, recursion_check
-
-from logfol.chern import (
-    ChernInput,
-    closed_form_sigma,
+from oracles import (
+    brute_quotient_dimension,
     closed_form_sigma_positive_args,
-    lhs_integral,
-    sigma_convention_note,
+    milnor_oracle,
+    recursion_check,
 )
+
+from logfol.chern import SIGMA_CONVENTION_NOTE, ChernInput, closed_form_sigma, lhs_integral
 from logfol.cli import cmd_count_complement, cmd_verify, parse_spec
 from logfol.foliations import Foliation
 from logfol.groebner import buchberger, quotient_dimension
@@ -144,7 +143,7 @@ def test_closed_form_equivalence():
     series = lhs_integral(bad)
     positive = closed_form_sigma_positive_args(bad)
     ok = ok and series == 4 and positive == 12
-    note = sigma_convention_note()
+    note = SIGMA_CONVENTION_NOTE
     ok = ok and "4" in note and "12" in note
     elapsed = time.perf_counter() - start
     print(f"  note: {note}")

@@ -7,15 +7,14 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from logfol.chern import (
+    SIGMA_CONVENTION_NOTE,
     ChernInput,
     closed_form_sigma,
-    closed_form_sigma_positive_args,
     complete_homogeneous,
     lhs_integral,
-    sigma_convention_note,
 )
 
-from oracles import recursion_check
+from oracles import closed_form_sigma_positive_args, recursion_check
 
 
 # ------------------------------------------------------------- chern class
@@ -103,8 +102,10 @@ def test_positive_argument_variant_disagrees():
 
 
 def test_convention_note_quotes_the_divergence():
-    note = sigma_convention_note()
-    assert "12" in note and "4" in note
+    # the note is a literal; its numbers must stay the ones it claims
+    data = ChernInput(2, (1,), 2)
+    assert (f"the case n=2, k=1, d_1=1, d=2 gives {closed_form_sigma_positive_args(data)} "
+            f"while the Chern series gives {lhs_integral(data)}") in SIGMA_CONVENTION_NOTE
 
 
 def test_binomial_weights_match_hand_expansion():

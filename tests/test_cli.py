@@ -199,6 +199,36 @@ def test_point_coordinates_over_budget_exit_two(tmp_path, capsys, coords):
     assert capsys.readouterr().err.startswith("error SYNTAX_ERROR: --point")
 
 
+@pytest.mark.parametrize("coord", [True, False, None, [1], {"x": 1}],
+                         ids=["true", "false", "null", "list", "object"])
+def test_point_coordinates_must_be_numbers_or_strings(tmp_path, capsys, coord):
+    doc = dict(TRIANGLE, points=[["1", "1", "1"], ["1", coord, "0"]])
+    assert main(["verify", write_doc(tmp_path, doc)]) == 2
+    assert capsys.readouterr().err == \
+        "error SYNTAX_ERROR: points[1]: coordinates must be numbers or strings\n"
+
+
+def test_json_number_coordinates_are_accepted():
+    doc = dict(TRIANGLE, points=[[1, 1, 1.0], ["1", 0, 0.0]])
+    assert parse_spec(json.dumps(doc)).points == parse_spec(json.dumps(TRIANGLE)).points
+
+
+def test_errors_quote_at_most_200_characters(tmp_path, capsys):
+    doc = dict(TRIANGLE, points=[])
+    point = f"1,1/{3 ** 7000},1"
+    assert main(["indices", write_doc(tmp_path, doc), "--point", point]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith(f"error SYNTAX_ERROR: --point {point[:200]!r}...: coordinate of ")
+    assert len(err) < 300 and err.count("\n") == 1
+
+    bad = "z1*(z1 - z0)" + " + z1*z2" * 60 + " + %"
+    doc = dict(TRIANGLE, foliation=["0", bad, "z2*(z2 - z0)"])
+    assert main(["chern", write_doc(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    assert err == ("error SYNTAX_ERROR: foliation[1]: unexpected character at position "
+                   f"{len(bad) - 1} in {bad[:200]!r}...\n")
+
+
 def test_point_coordinate_budget_is_inclusive():
     limit = str(2 ** MAX_COEFFICIENT_BITS - 1)
     assert RationalPoint.parse(["1", limit, f"1/{limit}"]).coords[1] == int(limit)

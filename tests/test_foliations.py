@@ -17,9 +17,7 @@ from logfol.foliations import (
     Foliation,
     Instance,
     build_stratum,
-    is_logarithmic,
-    require_logarithmic,
-    validate_arrangement,
+    is_invariant,
 )
 from logfol.groebner import quotient_dimension
 from logfol.indices import RationalPoint, milnor_at_point, point_milnor, total_milnor
@@ -89,17 +87,14 @@ def test_radial_multiples_rejected():
 
 def test_chart_field_at_zero():
     f = triangle_foliation()
-    field = f.chart_field(0)
-    assert field.chart == 0
-    assert list(field.components) == [
+    assert list(f.chart_field(0)) == [
         parse_polynomial("u*(u - 1)", UW),
         parse_polynomial("w*(w - 1)", UW),
     ]
 
 
 def test_chart_field_at_one():
-    field = triangle_foliation().chart_field(1)
-    assert list(field.components) == [
+    assert list(triangle_foliation().chart_field(1)) == [
         parse_polynomial("-u*(1 - u)", UW),
         parse_polynomial("w*(w - 1)", UW),
     ]
@@ -110,7 +105,7 @@ def test_chart_field_degree_can_exceed_foliation_degree():
     f = Foliation([parse_polynomial("z1^2", ["z0", "z1"]),
                    parse_polynomial("z0^2", ["z0", "z1"])])
     assert f.degree == 2
-    (component,) = f.chart_field(0).components
+    (component,) = f.chart_field(0)
     assert component.total_degree() == 3
     assert total_milnor(f) == 3
 
@@ -147,21 +142,30 @@ def test_arrangement_rejects_proportional_pairs():
 
 
 def test_validate_arrangement():
-    assert validate_arrangement(triangle_arrangement()) is None
-    assert validate_arrangement(arr(["z0", "z1", "z0 + z1 + z2"])) is None
+    assert triangle_arrangement().forms
+    assert arr(["z0", "z1", "z0 + z1 + z2"]).forms
     with pytest.raises(InputError) as err:
-        validate_arrangement(arr(["z0", "z1", "z0 + z1"]))
+        arr(["z0", "z1", "z0 + z1"])
     assert err.value.code == NC_VIOLATION
     assert err.value.message == ("hyperplanes {0, 1, 2} are linearly dependent "
                                  "but meet in projective space")
+    # the pairs are checked before any larger subset
+    with pytest.raises(InputError) as err:
+        arr(["z0", "z1", "z0 + z1", "2*z1"])
+    assert err.value.message == "hyperplanes 1 and 3 are proportional"
 
 
 def test_validate_arrangement_four_lines():
-    assert validate_arrangement(arr(["z0", "z1", "z2", "z0 + z1 + z2"])) is None
+    assert arr(["z0", "z1", "z2", "z0 + z1 + z2"]).forms
     with pytest.raises(InputError) as err:
-        validate_arrangement(arr(["z0", "z1", "z2", "z1 + z2"]))
+        arr(["z0", "z1", "z2", "z1 + z2"])
     assert err.value.code == NC_VIOLATION
     assert "{1, 2, 3}" in err.value.message
+    # in P^3 four dependent planes still meet in a point
+    with pytest.raises(InputError) as err:
+        arr(["z0", "z1", "z2", "z0 + z1 + z2"], P3)
+    assert err.value.message == ("hyperplanes {0, 1, 2, 3} are linearly dependent "
+                                 "but meet in projective space")
 
 
 # ------------------------------------------------------------- logarithmic
@@ -170,25 +174,23 @@ def test_validate_arrangement_four_lines():
 def test_is_logarithmic_examples():
     f = triangle_foliation()
     for text in ["z0", "z1", "z2", "z1 - z2"]:
-        assert is_logarithmic(f, parse_polynomial(text, P2))
-    assert not is_logarithmic(f, parse_polynomial("z0 + z1", P2))
+        assert is_invariant(f.components, parse_polynomial(text, P2))
+    assert not is_invariant(f.components, parse_polynomial("z0 + z1", P2))
 
 
 def test_is_logarithmic_scaling_invariance():
     f = triangle_foliation()
     form = parse_polynomial("z1 - z2", P2)
-    assert is_logarithmic(f, form * Fraction(7, 3))
-    scaled = Foliation([c * 5 for c in f.components])
-    assert is_logarithmic(scaled, form)
+    assert is_invariant(f.components, form * Fraction(7, 3))
+    assert is_invariant([c * 5 for c in f.components], form)
 
 
 def test_require_logarithmic_names_the_hyperplane():
     f = triangle_foliation()
-    bad = arr(["z0", "z0 + z1"])
     with pytest.raises(InputError) as err:
-        require_logarithmic(f, bad)
+        Instance(f, arr(["z0", "z0 + z1", "z1 + z2"]))
     assert err.value.code == NOT_LOGARITHMIC
-    assert "z0 + z1" in err.value.message
+    assert err.value.message == "hyperplane 1 (z0 + z1) is not invariant"
 
 
 # ----------------------------------------------------------------- strata
@@ -260,7 +262,8 @@ def test_build_stratum_solves_the_forms(case):
 
 def test_build_stratum_rejects_dependent_forms():
     with pytest.raises(InputError) as err:
-        build_stratum(arr(["z0", "z1", "z0 + z1"]).forms, [0, 1, 2], 3)
+        build_stratum([parse_polynomial(t, P2) for t in ["z0", "z1", "z0 + z1"]],
+                      [0, 1, 2], 3)
     assert err.value.code == NC_VIOLATION
     assert err.value.message == "hyperplanes (0, 1, 2) do not meet transversally"
 

@@ -336,7 +336,7 @@ def test_germ_indices_agree_with_stratum_indices(name):
     # Milnor number and logarithmic index
     texts, hyperplanes, names, expected = AGREEMENT_INSTANCES[name]
     inst = Instance(fol(texts, names), arr(hyperplanes, names))
-    field = inst.fol.chart_field(0).components
+    field = inst.fol.chart_field(0)
     finite = [f.dehomogenize(0) for f in inst.arr.forms]
     finite = [f for f in finite if f.total_degree() == 1]
     checked = 0

@@ -29,7 +29,7 @@ def triangle():
 
 
 def chart_ideals(fol):
-    return {frozenset(c for c in fol.chart_field(j).components if not c.is_zero())
+    return {frozenset(c for c in fol.chart_field(j) if not c.is_zero())
             for j in range(fol.n + 1)}
 
 
@@ -133,7 +133,7 @@ def test_instance_runs_the_structural_checks():
 
 
 def test_each_subset_of_hyperplanes_is_rank_checked_once(monkeypatch):
-    # Arrangement checks the 3 pairs, Instance only the triple
+    # Arrangement checks the 3 pairs and the triple, Instance none of them
     f, _ = triangle()
     calls = []
 

@@ -2,6 +2,7 @@
 
 import ast
 import sys
+import tokenize
 from pathlib import Path
 
 import pytest
@@ -28,3 +29,18 @@ def test_runtime_imports_only_the_standard_library(path):
     outside = sorted({name for name in names
                       if name.split(".")[0] not in sys.stdlib_module_names})
     assert not outside, f"{path.name}: imports outside the standard library: {outside}"
+
+
+# Past 4096 tokens CPython's parser doubles its token array when it
+# compiles a module, so a module that crosses it raises the peak memory
+# of every uncached import (about 0.5 MiB for polynomials.py) for a
+# reason unrelated to the work the program does.
+MAX_TOKENS = 4096
+
+
+@pytest.mark.parametrize("path", SOURCES, ids=lambda p: p.name)
+def test_modules_stay_below_the_token_array_doubling(path):
+    with path.open("rb") as handle:
+        count = sum(1 for token in tokenize.tokenize(handle.readline)
+                    if token.type not in (tokenize.COMMENT, tokenize.NL, tokenize.ENCODING))
+    assert count < MAX_TOKENS, f"{path.name}: {count} parser tokens"
