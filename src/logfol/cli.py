@@ -56,6 +56,22 @@ class ProblemSpec:
     points: tuple
 
 
+class _JsonNumber:
+    """A JSON number that is not an integer, NaN and Infinity included.
+
+    Kept as written, so a point coordinate is read from its digits: an
+    exponent is seen where it was typed, and 0.25 is exactly 1/4.
+    """
+
+    __slots__ = ("text",)
+
+    def __init__(self, text: str):
+        self.text = text
+
+    def __str__(self):
+        return self.text
+
+
 def _fail(message: str) -> InputError:
     return InputError(SYNTAX_ERROR, message)
 
@@ -80,7 +96,7 @@ def parse_spec(text: str) -> ProblemSpec:
     identifies the first failing validation layer.
     """
     try:
-        doc = json.loads(text)
+        doc = json.loads(text, parse_float=_JsonNumber, parse_constant=_JsonNumber)
     except json.JSONDecodeError as exc:
         raise _fail(f"invalid JSON at line {exc.lineno} column {exc.colno}: "
                     f"{exc.msg}") from None
@@ -120,7 +136,8 @@ def parse_spec(text: str) -> ProblemSpec:
             raise _fail(f"points[{i}]: expected {n + 1} homogeneous "
                         "coordinates")
         # a bool is an int to Python, and str(True) would read as an exponent
-        if any(isinstance(x, bool) or not isinstance(x, (str, int, float)) for x in item):
+        if any(isinstance(x, bool) or not isinstance(x, (str, int, _JsonNumber))
+               for x in item):
             raise _fail(f"points[{i}]: coordinates must be numbers or strings")
         try:
             points.append(RationalPoint.parse(item))

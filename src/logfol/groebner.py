@@ -16,7 +16,10 @@ Vector-space dimensions of quotients are staircase counts read off the
 reduced basis.  The length of the part of a zero-dimensional scheme on
 a locus is exact linear algebra on the multiplication matrices of the
 quotient ring over its staircase (Stetter's method; Cox, Little and
-O'Shea, *Using Algebraic Geometry*, ch. 2 and 4).  Colon ideals go
+O'Shea, *Using Algebraic Geometry*, ch. 2 and 4).  The matrices are
+built from normal forms of monomials, each outside the staircase
+divided once per call, and scaled to integers, so their powers' row
+spaces and ranks come from fraction-free elimination in `linalg`.  Colon ideals go
 through the classical tag-variable intersection trick; saturation
 iterates single-generator colons round-robin until the chain
 stabilizes.
@@ -26,6 +29,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from math import lcm
 from typing import Iterable, Sequence
 
 from . import linalg
@@ -401,16 +405,30 @@ def supported_length(ideal: Ideal, locus_polys: Sequence[MultiPoly]) -> int:
     by `linalg.stable_row_space` without forming the power.  Points with
     irrational coordinates count with full multiplicity.  An empty locus
     gives D.
+
+    Column b of M_g is the sum of c * NF(t*b) over the terms c*t of g.
+    The normal forms are memoized for the call: a staircase monomial is
+    its own normal form, and any other monomial is divided once.  Each
+    M_g is scaled by the lcm of its denominators, which leaves the row
+    spaces of its powers alone, so all the elimination is on integers.
     """
     monos = staircase(ideal)
     dim = len(monos)
     position = {m: i for i, m in enumerate(monos)}
+    # normal forms by monomial, as {row: coefficient}
+    forms = {m: {i: 1} for m, i in position.items()}
     rows = []
     for g in locus_polys:
         matrix = [[0] * dim for _ in range(dim)]
         for col, b in enumerate(monos):
-            image = normal_form(g * MultiPoly.monomial(ideal.nvars, b), ideal)
-            for e, c in image.terms.items():
-                matrix[position[e]][col] = c
+            for t, c in g.terms.items():
+                m = mono_mul(t, b)
+                if m not in forms:
+                    rem = normal_form(MultiPoly.monomial(ideal.nvars, m), ideal)
+                    forms[m] = {position[e]: x for e, x in rem.terms.items()}
+                for row, x in forms[m].items():
+                    matrix[row][col] += c * x
+        scale = lcm(*(x.denominator for row in matrix for x in row if x))
+        matrix = [[x.numerator * (scale // x.denominator) for x in row] for row in matrix]
         rows += linalg.stable_row_space(matrix)
-    return dim - linalg.rank(rows)
+    return dim - len(linalg.echelon(rows))

@@ -63,13 +63,17 @@ class RationalPoint:
 
     @classmethod
     def parse(cls, items: Sequence) -> "RationalPoint":
-        """A point from coordinates such as "3", "-1/2" or "0.25".
+        """A point from coordinates such as "3", "-1/2" or "0.25", read from str(x).
 
-        Raises ValueError on an exponent ("1e5"), before its power of ten
-        is built, and on a canonical coordinate whose numerator or
-        denominator has more than MAX_COEFFICIENT_BITS bits.
+        Raises ValueError on NaN or an infinity, on an exponent ("1e5")
+        before its power of ten is built, and on a canonical coordinate
+        whose numerator or denominator has more than MAX_COEFFICIENT_BITS
+        bits.
         """
         texts = [str(x) for x in items]
+        if any(text.strip().lstrip("+-").lower() in ("nan", "inf", "infinity")
+               for text in texts):
+            raise ValueError("coordinates must be finite")
         if any("e" in text.lower() for text in texts):
             raise ValueError("coordinates take no exponent")
         point = cls([Fraction(text) for text in texts])

@@ -2,6 +2,7 @@ import json
 import os
 import subprocess
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -211,6 +212,40 @@ def test_point_coordinates_must_be_numbers_or_strings(tmp_path, capsys, coord):
 def test_json_number_coordinates_are_accepted():
     doc = dict(TRIANGLE, points=[[1, 1, 1.0], ["1", 0, 0.0]])
     assert parse_spec(json.dumps(doc)).points == parse_spec(json.dumps(TRIANGLE)).points
+
+
+def with_point(literal):
+    """The triangle document with one point written as raw JSON."""
+    return json.dumps(dict(TRIANGLE, points="@")).replace('"@"', f"[[{literal}]]")
+
+
+def test_json_float_coordinates_are_read_as_written():
+    # str(1e16) switches to exponent form; the literal has no exponent
+    spec = parse_spec(with_point("1, 10000000000000000.0, 0.25"))
+    assert spec.points[0].coords == (1, 10 ** 16, Fraction(1, 4))
+    # 0.1 as written, not the binary float next to it
+    assert parse_spec(with_point("1, 0.1, 1")).points[0].coords[1] == Fraction(1, 10)
+
+
+@pytest.mark.parametrize("literal,reason", [
+    ("1, 1, 1e-05", "coordinates take no exponent"),
+    ("1, 1, 1E+16", "coordinates take no exponent"),
+    ("1, NaN, 1", "coordinates must be finite"),
+    ("1, 1, Infinity", "coordinates must be finite"),
+    ("-Infinity, 1, 1", "coordinates must be finite"),
+    ('1, "nan", 1', "coordinates must be finite"),
+], ids=["exponent", "capital-exponent", "nan", "infinity", "minus-infinity", "nan-string"])
+def test_json_number_literals_refused(tmp_path, capsys, literal, reason):
+    assert main(["verify", write_doc(tmp_path, with_point(literal))]) == 2
+    assert capsys.readouterr().err == f"error SYNTAX_ERROR: points[0]: {reason}\n"
+
+
+@pytest.mark.parametrize("point", ["1,nan,1", "1,1,-inf", "Infinity,1,1"])
+def test_cli_point_must_be_finite(tmp_path, capsys, point):
+    argv = ["indices", write_doc(tmp_path, dict(TRIANGLE, points=[])), "--point", point]
+    assert main(argv) == 2
+    assert capsys.readouterr().err == \
+        f"error SYNTAX_ERROR: --point {point!r}: coordinates must be finite\n"
 
 
 def test_errors_quote_at_most_200_characters(tmp_path, capsys):

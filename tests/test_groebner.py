@@ -6,6 +6,7 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from logfol import groebner, linalg
 from logfol.groebner import (
     INFINITE,
     Ideal,
@@ -351,12 +352,52 @@ def test_reduced_basis_matches_sympy(n, d, seed):
     (["x^2*(x - 1)", "y^2"], ["x"], 4),
     (["x^2*(x - 1)", "y^2"], ["x - 1", "y"], 2),
     (["x^2*(x - 1)", "y^2"], ["y"], 6),
+    # rational zeros, so the normal forms and matrices carry denominators
+    (["4*x^2 - 1", "3*y - 1"], ["2*x - 1"], 1),
+    (["4*x^2 - 1", "3*y - 1"], ["x + 1/2"], 1),
+    (["4*x^2 - 1", "3*y - 1"], [], 2),
+    (["(2*x - 1)^2*(3*x + 2)", "(3*y - 1)*(2*y - x)"], [], 6),
+    (["(2*x - 1)^2*(3*x + 2)", "(3*y - 1)*(2*y - x)"], ["2*x - 1"], 4),
+    (["(2*x - 1)^2*(3*x + 2)", "(3*y - 1)*(2*y - x)"], ["3*y - 1"], 3),
+    (["(2*x - 1)^2*(3*x + 2)", "(3*y - 1)*(2*y - x)"], ["2*x - 1", "4*y - 1"], 2),
+    (["(2*x - 1)^2*(3*x + 2)", "(3*y - 1)*(2*y - x)"], ["x + 2/3"], 2),
 ])
 def test_supported_length_counts_multiplicity(texts, locus, expected):
     I = ideal(texts)
     locus = [poly(t) for t in locus]
     assert supported_length(I, locus) == expected
     assert saturation_length(I, locus) == expected
+
+
+def test_supported_length_divides_each_outside_monomial_once(monkeypatch):
+    names = ["z0", "z1", "z2"]
+    triangle = Foliation([poly(t, names) for t in ["0", "z1*(z1 - z0)", "z2*(z2 - z0)"]])
+    forms = [poly(t, names) for t in names]
+    original = groebner.divide
+
+    def forbidden(*args):
+        raise AssertionError("supported_length used the Fraction rref")
+
+    monkeypatch.setattr(linalg, "rref", forbidden)
+    total = 0
+    for I, locus in chart_loci(triangle, forms):
+        inside = set(staircase(I))
+        divided = []
+
+        def divide(f, divisors, order=GREVLEX):
+            divided.append(f)
+            return original(f, divisors, order)
+
+        monkeypatch.setattr(groebner, "divide", divide)
+        supported_length(I, locus)
+        monkeypatch.setattr(groebner, "divide", original)
+        # only monomials outside the staircase, each at most once
+        assert all(list(f.terms.values()) == [1] for f in divided)
+        monos = [next(iter(f.terms)) for f in divided]
+        assert not inside.intersection(monos)
+        assert len(monos) == len(set(monos))
+        total += len(monos)
+    assert total > 0
 
 
 def test_supported_length_needs_a_finite_staircase():
