@@ -12,6 +12,12 @@ checks that the singularities are isolated, `Arrangement` that the
 hyperplanes cross normally, and `Instance` that each hyperplane is
 invariant (the foliation is logarithmic along the arrangement).
 
+`Foliation` proves Sing finite on the cover of P^n by U_0 and the
+affine pieces U_j ∩ {z_0 = ... = z_{j-1} = 0} (finiteness theorem:
+Cox, Little and O'Shea, *Ideals, Varieties, and Algorithms*, ch. 5
+§3), so only chart 0 needs its full basis; the other chart ideals are
+built on first use.
+
 Restriction to an intersection of invariant hyperplanes keeps the same
 degree-d bookkeeping: the forms are solved for some coordinates, and the
 components along the other (free) coordinates, with the solved ones
@@ -20,7 +26,7 @@ vanish on the stratum.
 Dividing out a common polynomial factor would discard singular points
 that the ambient foliation really has on the stratum (a factor can
 appear on line strata), so the components are deliberately left intact;
-the chart criterion below rejects anything with non-isolated zeros.
+the cover criterion rejects anything with non-isolated zeros.
 """
 
 from __future__ import annotations
@@ -80,14 +86,32 @@ class Foliation:
         self._validate()
 
     def _validate(self):
-        # Reject the radial-only degenerate representative, then demand a
-        # zero-dimensional singular scheme in every chart.
+        # Reject the radial-only degenerate representative, then check the
+        # cover: chart 0 by its cached basis, piece j < n by a throwaway
+        # basis of chart j's field with x_0..x_{j-1} set to 0, in the other
+        # n-j coordinates, and piece n, at most one point, not at all.  A
+        # chart with the generators of a proven-finite ideal needs no piece.
+        # A positive-dimensional component C first fails at
+        # min{j : z_j is not identically 0 on C}, the chart a full basis of
+        # every chart would name.
         if all(c.is_zero() for j in range(self.n + 1) for c in self.chart_field(j)):
             raise InputError(POSITIVE_DIM_SING,
                              "radial representative: every point would be singular")
-        for j in range(self.n + 1):
-            ideal = self.singular_ideal(j)
-            if quotient_dimension(ideal) == INFINITE:
+        for j in range(self.n):
+            gens = [c for c in self.chart_field(j) if not c.is_zero()]
+            if j == 0:
+                finite = quotient_dimension(self.singular_ideal(0)) != INFINITE
+            elif self._shared_ideal(gens) is not None:
+                continue
+            else:
+                piece = [MultiPoly._trusted(self.n - j, {
+                    e[j:]: c for e, c in g.terms.items() if not any(e[:j])})
+                    for g in gens]
+                piece = [p for p in piece if not p.is_zero()]
+                # with no equation left the piece is all of affine (n-j)-space
+                finite = bool(piece) and (
+                    quotient_dimension(buchberger(piece, self.n - j)) != INFINITE)
+            if not finite:
                 raise InputError(
                     POSITIVE_DIM_SING,
                     f"singular scheme has positive dimension in chart {j}")
@@ -109,17 +133,20 @@ class Foliation:
         self._fields[j] = tuple(comps)
         return self._fields[j]
 
+    def _shared_ideal(self, gens: list):
+        """A cached ideal with exactly these generators, or None."""
+        return next((ideal for ideal in self._ideals.values()
+                     if set(ideal.generators) == set(gens)), None)
+
     def singular_ideal(self, j: int) -> Ideal:
         """Ideal of the chart-j vector field components, basis cached.
 
-        Charts whose fields have the same nonzero components share one
-        ideal, so its basis is computed once.
+        Built on first use.  Charts whose fields have the same nonzero
+        components share one ideal, so its basis is computed once.
         """
         if j not in self._ideals:
             gens = [c for c in self.chart_field(j) if not c.is_zero()]
-            same = [ideal for ideal in self._ideals.values()
-                    if set(ideal.generators) == set(gens)]
-            self._ideals[j] = same[0] if same else buchberger(gens, self.n)
+            self._ideals[j] = self._shared_ideal(gens) or buchberger(gens, self.n)
         return self._ideals[j]
 
     def __repr__(self):

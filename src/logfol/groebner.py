@@ -393,8 +393,8 @@ def staircase(ideal: Ideal) -> list:
     return sorted(monos, key=GREVLEX.key)
 
 
-def supported_length(ideal: Ideal, locus_polys: Sequence[MultiPoly]) -> int:
-    """Length of the part of V(ideal) supported on V(g_1, ..., g_r).
+def supported_lengths(ideal: Ideal, loci: Sequence[Sequence[MultiPoly]]) -> list:
+    """For each locus V(g_1, ..., g_r): the length of the part of V(ideal) on it.
 
     With B the staircase of a zero-dimensional ideal (D = |B|) and M_g
     the matrix of "multiply by g, then take the normal form" on B, M_g^D
@@ -411,14 +411,18 @@ def supported_length(ideal: Ideal, locus_polys: Sequence[MultiPoly]) -> int:
     its own normal form, and any other monomial is divided once.  Each
     M_g is scaled by the lcm of its denominators, which leaves the row
     spaces of its powers alone, so all the elimination is on integers.
+    A polynomial in several loci has its row space computed once.
     """
     monos = staircase(ideal)
     dim = len(monos)
     position = {m: i for i, m in enumerate(monos)}
     # normal forms by monomial, as {row: coefficient}
     forms = {m: {i: 1} for m, i in position.items()}
-    rows = []
-    for g in locus_polys:
+    spaces = {}  # stable row space of M_g by polynomial g
+
+    def row_space(g):
+        if g in spaces:
+            return spaces[g]
         matrix = [[0] * dim for _ in range(dim)]
         for col, b in enumerate(monos):
             for t, c in g.terms.items():
@@ -430,5 +434,8 @@ def supported_length(ideal: Ideal, locus_polys: Sequence[MultiPoly]) -> int:
                     matrix[row][col] += c * x
         scale = lcm(*(x.denominator for row in matrix for x in row if x))
         matrix = [[x.numerator * (scale // x.denominator) for x in row] for row in matrix]
-        rows += linalg.stable_row_space(matrix)
-    return dim - len(linalg.echelon(rows))
+        spaces[g] = linalg.stable_row_space(matrix)
+        return spaces[g]
+
+    return [dim - len(linalg.echelon([row for g in locus for row in row_space(g)]))
+            for locus in loci]

@@ -14,7 +14,7 @@ logarithmic index (`point_record`).
 Global totals never enumerate points: each chart contributes the length
 of its singular scheme on the vanishing of the earlier chart
 coordinates, read off the multiplication matrices of the chart's
-quotient ring (`supported_length`), so irrational singularities are
+quotient ring (`supported_lengths`), so irrational singularities are
 counted with full multiplicity.  `chern_input` is the one place that
 decides the divisor degrees the Chern side sees.
 """
@@ -42,7 +42,7 @@ from .groebner import (
     buchberger,
     quotient_dimension,
     saturate,
-    supported_length,
+    supported_lengths,
 )
 from .polynomials import MAX_COEFFICIENT_BITS, MultiPoly
 
@@ -205,7 +205,7 @@ def total_milnor(fol: Foliation) -> int:
     degree d on P^n this totals sum_{i<=n} d^i.
     """
     n = fol.n
-    return sum(supported_length(fol.singular_ideal(j), _overlap_vars(n, j))
+    return sum(supported_lengths(fol.singular_ideal(j), [_overlap_vars(n, j)])[0]
                for j in range(n + 1))
 
 
@@ -213,7 +213,9 @@ def complement_milnor_sum(inst: Instance) -> int:
     """Total Milnor number of the singularities off the arrangement.
 
     Chart j contributes its length on the chart's own locus minus the
-    part of that which also lies on some hyperplane.
+    part of that which also lies on some hyperplane.  The two lengths
+    share the staircase, the normal forms and the row spaces of the
+    overlap coordinates; only the product of the forms adds rows.
     """
     n = inst.fol.n
     total = 0
@@ -223,8 +225,8 @@ def complement_milnor_sum(inst: Instance) -> int:
         for f in inst.arr.forms:
             product = product * f.dehomogenize(j)
         overlap = _overlap_vars(n, j)
-        total += (supported_length(ideal, overlap)
-                  - supported_length(ideal, overlap + [product]))
+        on, on_divisor = supported_lengths(ideal, [overlap, overlap + [product]])
+        total += on - on_divisor
     return total
 
 

@@ -11,7 +11,9 @@ package's own bases.  `recursion_check` checks the Chern integral across
 hyperplane sections, and `closed_form_sigma_positive_args` is the
 closed form with the sign convention the Chern side does not use.
 `linear_substitute` and `LEX` serve the tests that move instances and
-compare monomial orders.
+compare monomial orders.  `all_charts_check` is the isolated-singularity
+check with a full basis in every chart, which `Foliation` replaced by a
+stratified cover.
 """
 
 from fractions import Fraction
@@ -107,6 +109,29 @@ def closed_form_sigma_positive_args(data: ChernInput) -> int:
     args = list(data.divisor_degrees) + [data.foliation_degree - 1]
     return sum(comb(data.n + 1, i) * complete_homogeneous(data.n - i, args)
                for i in range(data.n + 1))
+
+
+def all_charts_check(components) -> str | None:
+    """The isolated-singularity check with a full basis in every chart.
+
+    None when the singular scheme of the foliation is finite, else the
+    POSITIVE_DIM_SING message `Foliation` gives: the radial
+    representative, or the first chart whose singular ideal has a
+    positive-dimensional zero set.
+    """
+    n = len(components) - 1
+    fields = []
+    for j in range(n + 1):
+        pj = components[j].dehomogenize(j)
+        fields.append([components[i].dehomogenize(j)
+                       - MultiPoly.variable(n, i if i < j else i - 1) * pj
+                       for i in range(n + 1) if i != j])
+    if all(c.is_zero() for field in fields for c in field):
+        return "radial representative: every point would be singular"
+    for j, field in enumerate(fields):
+        if quotient_dimension(buchberger(field, n)) == INFINITE:
+            return f"singular scheme has positive dimension in chart {j}"
+    return None
 
 
 def monomials_upto(nvars: int, degree: int) -> list:

@@ -1,10 +1,11 @@
 from fractions import Fraction
-from itertools import combinations
+from itertools import combinations, product
 
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 
+from logfol import groebner
 from logfol.errors import (
     DEGREE_MISMATCH,
     NC_VIOLATION,
@@ -23,14 +24,19 @@ from logfol.groebner import quotient_dimension
 from logfol.indices import RationalPoint, milnor_at_point, point_milnor, total_milnor
 from logfol.linalg import rank
 from logfol.polynomials import MultiPoly, linear_images, parse_polynomial
+from oracles import all_charts_check
 
 P2 = ["z0", "z1", "z2"]
 P3 = ["z0", "z1", "z2", "z3"]
 UW = ["u", "w"]
 
 
+def polys(texts, names=P2):
+    return [parse_polynomial(t, names) for t in texts]
+
+
 def fol(texts, names=P2):
-    return Foliation([parse_polynomial(t, names) for t in texts])
+    return Foliation(polys(texts, names))
 
 
 def arr(texts, names=P2):
@@ -80,6 +86,93 @@ def test_radial_multiples_rejected():
     with pytest.raises(InputError) as err:
         fol(["z0*(z0 + z1)", "z1*(z0 + z1)", "z2*(z0 + z1)"])
     assert err.value.code == POSITIVE_DIM_SING
+
+
+def test_singular_curve_in_z0_plane_is_named_by_chart_1():
+    # on {z0 = 0} the field is z1 * (0, z1, z2): every point there is singular
+    texts = ["z0*z2 + z0*z1", "z0^2 + z1^2", "z0*z1 + z1*z2"]
+    with pytest.raises(InputError) as err:
+        fol(texts)
+    assert err.value.code == POSITIVE_DIM_SING
+    assert err.value.message == "singular scheme has positive dimension in chart 1"
+    assert all_charts_check(polys(texts)) == err.value.message
+
+
+def test_singular_line_z0_z1_is_named_by_chart_2():
+    # on {z0 = z1 = 0} the field is z3 * (0, 0, z2, z3)
+    texts = ["z0*z2 + z0*z3", "z1*z0 + z1*z3", "z0^2 + z1^2 + z2*z3", "z0*z1 + z3^2"]
+    with pytest.raises(InputError) as err:
+        fol(texts, P3)
+    assert err.value.code == POSITIVE_DIM_SING
+    assert err.value.message == "singular scheme has positive dimension in chart 2"
+    assert all_charts_check(polys(texts, P3)) == err.value.message
+
+
+def test_validation_computes_one_full_chart_basis(monkeypatch):
+    # chart 0 gets the one basis in all n variables; the pieces at infinity
+    # get bases in fewer variables, which no chart ideal keeps
+    nvars_seen = []
+
+    def reduced_groebner(gens, nvars, order):
+        nvars_seen.append(nvars)
+        return original(gens, nvars, order)
+
+    original = groebner._reduced_groebner
+    monkeypatch.setattr(groebner, "_reduced_groebner", reduced_groebner)
+    f = fol(["z0^2 + z0*z2", "z1^2 + z3^2", "z1*z3 + z2^2", "z0*z1 + z2*z3"], P3)
+    assert nvars_seen == [3, 2, 1]
+    assert f.singular_ideal(1).nvars == 3
+    assert nvars_seen[3:] == [3]
+
+
+@st.composite
+def homogeneous(draw, nvars, degree):
+    """A sparse homogeneous form with small integer coefficients (maybe 0)."""
+    monos = [e for e in product(range(degree + 1), repeat=nvars) if sum(e) == degree]
+    coefficient = st.sampled_from((0, 0, 0, 1, -1, 2, -3))
+    return MultiPoly(nvars, {e: draw(coefficient) for e in monos})
+
+
+@st.composite
+def candidate_fields(draw):
+    """Components of a degree-d field on P^2 or P^3, often degenerate.
+
+    "random" draws each component; "product" multiplies a field by a
+    linear form, singular along its hyperplane; "linear" adds
+    z_0 * A + ... + z_{m-1} * B to a radial field z * Q, singular along
+    {z_0 = ... = z_{m-1} = 0}, a curve inside {z0 = 0} on P^2 and the
+    plane {z0 = 0} or the line {z0 = z1 = 0} on P^3.
+    """
+    n = draw(st.sampled_from((2, 3)))
+    d = draw(st.integers(1, 3 if n == 2 else 2))
+    nvars = n + 1
+    z = [MultiPoly.variable(nvars, i) for i in range(nvars)]
+    kind = draw(st.sampled_from(("random", "product", "linear")))
+    if kind == "random":
+        comps = [draw(homogeneous(nvars, d)) for _ in z]
+    elif kind == "product":
+        form = draw(homogeneous(nvars, 1))
+        comps = [form * draw(homogeneous(nvars, d - 1)) for _ in z]
+    else:
+        m = draw(st.integers(1, n - 1))
+        q = draw(homogeneous(nvars, d - 1))
+        comps = [z[i] * q for i in range(nvars)]
+        for k in range(m):
+            comps = [c + z[k] * draw(homogeneous(nvars, d - 1)) for c in comps]
+    assume(not all(c.is_zero() for c in comps))
+    return comps
+
+
+@given(candidate_fields())
+@settings(max_examples=120, deadline=None)
+def test_stratified_cover_matches_the_all_charts_check(comps):
+    try:
+        Foliation(comps)
+        outcome = None
+    except InputError as err:
+        assert err.code == POSITIVE_DIM_SING
+        outcome = err.message
+    assert outcome == all_charts_check(comps)
 
 
 # ------------------------------------------------------------- chart fields

@@ -20,7 +20,7 @@ from logfol.groebner import (
     quotient_dimension,
     saturate,
     staircase,
-    supported_length,
+    supported_lengths,
 )
 from logfol.errors import InputError
 from logfol.foliations import Foliation
@@ -302,7 +302,7 @@ def test_supported_length_matches_saturation_on_triangle_charts():
     triangle = Foliation([poly(t, names) for t in ["0", "z1*(z1 - z0)", "z2*(z2 - z0)"]])
     forms = [poly(t, names) for t in names]
     for I, locus in chart_loci(triangle, forms):
-        assert supported_length(I, locus) == saturation_length(I, locus)
+        assert supported_lengths(I, [locus])[0] == saturation_length(I, locus)
 
 
 @pytest.mark.parametrize("n,d,seed,shear", [
@@ -313,7 +313,7 @@ def test_supported_length_matches_saturation_on_lotka_volterra(n, d, seed, shear
     if shear:
         fol, forms = sheared(fol, forms)
     for I, locus in chart_loci(fol, forms):
-        assert supported_length(I, locus) == saturation_length(I, locus)
+        assert supported_lengths(I, [locus])[0] == saturation_length(I, locus)
 
 
 def sympy_reduced_basis(sympy, gens, nvars):
@@ -365,7 +365,7 @@ def test_reduced_basis_matches_sympy(n, d, seed):
 def test_supported_length_counts_multiplicity(texts, locus, expected):
     I = ideal(texts)
     locus = [poly(t) for t in locus]
-    assert supported_length(I, locus) == expected
+    assert supported_lengths(I, [locus])[0] == expected
     assert saturation_length(I, locus) == expected
 
 
@@ -376,7 +376,7 @@ def test_supported_length_divides_each_outside_monomial_once(monkeypatch):
     original = groebner.divide
 
     def forbidden(*args):
-        raise AssertionError("supported_length used the Fraction rref")
+        raise AssertionError("supported_lengths used the Fraction rref")
 
     monkeypatch.setattr(linalg, "rref", forbidden)
     total = 0
@@ -389,7 +389,7 @@ def test_supported_length_divides_each_outside_monomial_once(monkeypatch):
             return original(f, divisors, order)
 
         monkeypatch.setattr(groebner, "divide", divide)
-        supported_length(I, locus)
+        supported_lengths(I, [locus])[0]
         monkeypatch.setattr(groebner, "divide", original)
         # only monomials outside the staircase, each at most once
         assert all(list(f.terms.values()) == [1] for f in divided)
@@ -402,7 +402,7 @@ def test_supported_length_divides_each_outside_monomial_once(monkeypatch):
 
 def test_supported_length_needs_a_finite_staircase():
     with pytest.raises(ValueError):
-        supported_length(ideal(["x"]), [poly("y")])
+        supported_lengths(ideal(["x"]), [[poly("y")]])
 
 
 # -------------------------------------------------------------- hypothesis

@@ -145,3 +145,21 @@ def test_each_subset_of_hyperplanes_is_rank_checked_once(monkeypatch):
     monkeypatch.setattr(linalg, "rank", rank)
     Instance(f, Arrangement(2, polys(README_TRIANGLE["hyperplanes"])))
     assert len(calls) == 4
+
+
+def test_count_complement_shares_row_spaces_per_chart(tmp_path, monkeypatch, capsys):
+    # charts 0, 1 and 2 have 1, 2 and 3 distinct multiplication matrices:
+    # the overlap coordinates and the product of the forms
+    path = tmp_path / "triangle.json"
+    path.write_text(json.dumps(README_TRIANGLE))
+    calls = []
+
+    def stable_row_space(matrix):
+        calls.append(matrix)
+        return original(matrix)
+
+    original = linalg.stable_row_space
+    monkeypatch.setattr(linalg, "stable_row_space", stable_row_space)
+    assert cli.main(["--report", "json", "count-complement", str(path)]) == 0
+    capsys.readouterr()
+    assert len(calls) == 6

@@ -81,7 +81,7 @@ def test_echelon_rows_are_primitive_with_increasing_pivots(rows):
 @settings(max_examples=200, deadline=None)
 @given(square_matrices())
 def test_stable_row_space_spans_the_top_power(matrix):
-    # scale the whole matrix by one common denominator, as supported_length
+    # scale the whole matrix by one common denominator, as supported_lengths
     # does: the powers of c*M have the row spaces of the powers of M
     scale = lcm(*(x.denominator for row in matrix for x in row))
     stable = stable_row_space([[int(x * scale) for x in row] for row in matrix])
