@@ -23,12 +23,18 @@ spaces and ranks come from fraction-free elimination in `linalg`.  Colon ideals 
 through the classical tag-variable intersection trick; saturation
 iterates single-generator colons round-robin until the chain
 stabilizes.
+
+The degree of the projective scheme of a homogeneous ideal comes from
+the Hilbert series of its grevlex lead monomials, whose numerator is
+built by Bigatti's pivot split on an explicit stack (Cox, Little and
+O'Shea, *Ideals, Varieties, and Algorithms*, ch. 9; Bigatti 1997).
 """
 
 from __future__ import annotations
 
 from fractions import Fraction
 from heapq import heapify, heappop, heappush
+from itertools import accumulate
 from math import lcm
 from typing import Iterable, Sequence
 
@@ -439,3 +445,73 @@ def supported_lengths(ideal: Ideal, loci: Sequence[Sequence[MultiPoly]]) -> list
 
     return [dim - len(linalg.echelon([row for g in locus for row in row_space(g)]))
             for locus in loci]
+
+
+# ------------------------------------------------------------ Hilbert series
+
+def _minimal(monos) -> list:
+    """Minimal generators of the monomial ideal spanned by `monos`."""
+    out = []
+    for m in sorted(set(monos), key=mono_deg):
+        if not any(mono_divides(g, m) for g in out):
+            out.append(m)
+    return out
+
+
+def _hilbert_numerator(leads, nvars: int) -> list:
+    """Coefficients of N(t), where N(t)/(1-t)^nvars is the Hilbert series of
+    Q[x] modulo the monomial ideal generated by `leads`.
+
+    Bigatti's pivot split N(M) = N(M + (p)) + t^deg(p) N(M : p), with p
+    the median power of the variable found in the most generators that
+    are not pure powers, runs on an explicit stack, so no basis is too
+    long for it.  An ideal of pure powers is a leaf: prod (1 - t^deg).
+    """
+    numerator = [0]
+    stack = [(0, _minimal(leads))]
+    while stack:
+        shift, gens = stack.pop()
+        mixed = [m for m in gens if len(m) - m.count(0) > 1]
+        if mixed:
+            counts = [sum(1 for m in mixed if m[i]) for i in range(nvars)]
+            i = counts.index(max(counts))
+            powers = sorted(m[i] for m in mixed if m[i])
+            e = powers[len(powers) // 2]
+            pivot = tuple(e if k == i else 0 for k in range(nvars))
+            stack.append((shift, _minimal(gens + [pivot])))
+            stack.append((shift + e, _minimal(
+                [mono_div(mono_lcm(m, pivot), pivot) for m in gens])))
+            continue
+        leaf = [0] * shift + [1]
+        for m in gens:
+            a = mono_deg(m)
+            leaf += [0] * a
+            for k in range(len(leaf) - 1, a - 1, -1):
+                leaf[k] -= leaf[k - a]
+        numerator += [0] * (len(leaf) - len(numerator))
+        for k, c in enumerate(leaf):
+            numerator[k] += c
+    return numerator
+
+
+def projective_degree(ideal: Ideal):
+    """Degree of the projective scheme of a homogeneous ideal, or INFINITE.
+
+    Reads the Hilbert series N(t)/(1-t)^nvars of the grevlex lead
+    monomials, which is that of the ideal (Macaulay), and cancels (1-t)
+    while N(1) = 0.  One factor left means a finite scheme of length
+    N(1); more mean a positive-dimensional one (INFINITE); none, the
+    empty scheme (0).
+    """
+    if not all(g.is_homogeneous() for g in ideal.generators):
+        raise ValueError("ideal is not homogeneous")
+    leads = [g.lead_term()[0] for g in ideal.groebner_basis()]
+    numerator = _hilbert_numerator(leads, ideal.nvars)
+    factors = ideal.nvars
+    while factors and sum(numerator) == 0:
+        # N = (1-t) Q: the coefficients of Q are the partial sums of N's
+        numerator = list(accumulate(numerator))
+        factors -= 1
+    if factors == 0:
+        return 0
+    return sum(numerator) if factors == 1 else INFINITE

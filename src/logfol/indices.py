@@ -11,12 +11,17 @@ Points off the divisor take their plain Milnor number; the homological
 index of a point on the divisor is its Milnor number minus its
 logarithmic index (`point_record`).
 
-Global totals never enumerate points: each chart contributes the length
-of its singular scheme on the vanishing of the earlier chart
-coordinates, read off the multiplication matrices of the chart's
-quotient ring (`supported_lengths`), so irrational singularities are
-counted with full multiplicity.  `chern_input` is the one place that
-decides the divisor degrees the Chern side sees.
+Global totals never enumerate points, so irrational singularities are
+counted with full multiplicity.  The total Milnor number of a foliation
+is the degree of the projective scheme cut out by the 2x2 minors of
+(z; P), read off the Hilbert series of one homogeneous basis
+(`projective_degree`); the test suite checks it against the sum over
+the charts.  The total off the divisor is summed over the charts: each
+contributes the length of its singular scheme on the vanishing of the
+earlier chart coordinates and off the hyperplanes, read off the
+multiplication matrices of the chart's quotient ring
+(`supported_lengths`).  `chern_input` is the one place that decides
+the divisor degrees the Chern side sees.
 """
 
 from __future__ import annotations
@@ -40,6 +45,7 @@ from .groebner import (
     INFINITE,
     Ideal,
     buchberger,
+    projective_degree,
     quotient_dimension,
     saturate,
     supported_lengths,
@@ -198,15 +204,20 @@ def _overlap_vars(n: int, j: int) -> list:
 def total_milnor(fol: Foliation) -> int:
     """Sum of all Milnor numbers of the foliation, multiplicity included.
 
-    Chart j contributes the length of its singular scheme supported on
-    the vanishing of the earlier coordinates x_0..x_{j-1}, the points no
-    earlier chart sees; `Foliation` already rejects charts whose
-    singular scheme has positive dimension.  For a valid foliation of
-    degree d on P^n this totals sum_{i<=n} d^i.
+    The 2x2 minors z_a P_b - z_b P_a of (z; P) dehomogenize in chart j
+    to generators of the chart ideal, so they cut out the singular
+    scheme of the whole of P^n, and its degree is the total: one basis
+    in the n+1 homogeneous variables and no chart basis.  For a valid
+    foliation of degree d on P^n this totals sum_{i<=n} d^i.
     """
     n = fol.n
-    return sum(supported_lengths(fol.singular_ideal(j), [_overlap_vars(n, j)])[0]
-               for j in range(n + 1))
+    z = [MultiPoly.variable(n + 1, i) for i in range(n + 1)]
+    p = fol.components
+    minors = [z[a] * p[b] - z[b] * p[a] for a, b in combinations(range(n + 1), 2)]
+    degree = projective_degree(buchberger(minors, n + 1))
+    if degree == INFINITE:
+        raise ValueError("singular scheme has positive dimension")
+    return degree
 
 
 def complement_milnor_sum(inst: Instance) -> int:
@@ -251,17 +262,19 @@ def stratum_breakdown(inst: Instance) -> list:
     n = fol.n
     k = len(arr.forms)
     out = []
+    totals = {}  # by foliation: strata with equal restricted fields share one
     for size in range(0, min(k, n) + 1):
         sign = -1 if size % 2 else 1
         for subset in combinations(range(k), size):
-            if size == 0:
-                value = total_milnor(fol)
-            elif size == n:
+            if size == n:
                 stratum = build_stratum(arr.forms, subset, n + 1)
                 point = RationalPoint(stratum.stratum_to_ambient([1]))
                 value = 1 if is_singular_point(fol, point) else 0
             else:
-                value = total_milnor(inst.restriction(subset)[0])
+                restricted = inst.restriction(subset)[0] if size else fol
+                if restricted not in totals:
+                    totals[restricted] = total_milnor(restricted)
+                value = totals[restricted]
             out.append(StratumTotal(indices=tuple(subset), dim=n - size,
                                     sign=sign, total=value))
     return out

@@ -13,17 +13,22 @@ closed form with the sign convention the Chern side does not use.
 `linear_substitute` and `LEX` serve the tests that move instances and
 compare monomial orders.  `all_charts_check` is the isolated-singularity
 check with a full basis in every chart, which `Foliation` replaced by a
-stratified cover.
+stratified cover, and `chart_total_milnor` is the global Milnor total
+summed over the charts, which `indices.total_milnor` replaced by the
+degree of one homogeneous scheme.  `lotka_volterra_fields` draws the
+random fields of the benchmark's shapes for Hypothesis.
 """
 
 from fractions import Fraction
-from itertools import combinations_with_replacement
+from itertools import combinations_with_replacement, product
 from math import comb
 from operator import neg
 
+from hypothesis import strategies as st
+
 from logfol import linalg
 from logfol.chern import ChernInput, complete_homogeneous, lhs_integral
-from logfol.groebner import INFINITE, buchberger, quotient_dimension
+from logfol.groebner import INFINITE, buchberger, quotient_dimension, supported_lengths
 from logfol.polynomials import MonomialOrder, MultiPoly, linear_images
 
 
@@ -132,6 +137,35 @@ def all_charts_check(components) -> str | None:
         if quotient_dimension(buchberger(field, n)) == INFINITE:
             return f"singular scheme has positive dimension in chart {j}"
     return None
+
+
+def chart_total_milnor(fol) -> int:
+    """Sum of all Milnor numbers of a foliation, one chart at a time.
+
+    Chart j contributes the length of its singular scheme supported on
+    the vanishing of the earlier coordinates x_0..x_{j-1}, the points no
+    earlier chart sees, read off the multiplication matrices of the
+    chart's quotient ring.
+    """
+    n = fol.n
+    return sum(supported_lengths(fol.singular_ideal(j),
+                                 [[MultiPoly.variable(n, i) for i in range(j)]])[0]
+               for j in range(n + 1))
+
+
+@st.composite
+def lotka_volterra_fields(draw, shapes):
+    """(n, components z_i * Q_i) with Q_i of degree d-1, for (n, d) in shapes.
+
+    The coefficients are small and often 0, so degenerate fields, whose
+    singular scheme has positive dimension, come up too.
+    """
+    n, d = draw(st.sampled_from(shapes))
+    monos = [e for e in product(range(d), repeat=n + 1) if sum(e) == d - 1]
+    coefficient = st.sampled_from((0, 0, 1, -1, 2, -3, 5))
+    return n, [MultiPoly.variable(n + 1, i) * MultiPoly(n + 1, {e: draw(coefficient)
+                                                                 for e in monos})
+               for i in range(n + 1)]
 
 
 def monomials_upto(nvars: int, degree: int) -> list:

@@ -24,7 +24,7 @@ from logfol.groebner import quotient_dimension
 from logfol.indices import RationalPoint, milnor_at_point, point_milnor, total_milnor
 from logfol.linalg import rank
 from logfol.polynomials import MultiPoly, linear_images, parse_polynomial
-from oracles import all_charts_check
+from oracles import all_charts_check, linear_substitute, lotka_volterra_fields
 
 P2 = ["z0", "z1", "z2"]
 P3 = ["z0", "z1", "z2", "z3"]
@@ -417,3 +417,39 @@ def test_restriction_commutes_with_further_restriction():
     via_steps = RationalPoint(stratum2.ambient_to_stratum(
         stratum1.ambient_to_stratum([Fraction(c) for c in ambient])))
     assert point_milnor(direct, via_direct) == point_milnor(second, via_steps)
+
+
+@st.composite
+def instance_parts(draw):
+    """Lotka-Volterra components and some coordinate hyperplanes, maybe sheared.
+
+    The shear w_i = z_i + c z_j moves both, so the strata stop being
+    coordinate subspaces while every hyperplane stays invariant.
+    """
+    n, comps = draw(lotka_volterra_fields([(2, 1), (2, 2), (2, 3), (3, 1), (3, 2)]))
+    chosen = draw(st.lists(st.integers(0, n), min_size=1, max_size=n + 1, unique=True))
+    forms = [MultiPoly.variable(n + 1, i) for i in sorted(chosen)]
+    i, j = draw(st.lists(st.integers(0, n), min_size=2, max_size=2, unique=True))
+    c = draw(st.sampled_from((0, 1, -2)))
+    inverse = [[int(r == k) - (c if (r, k) == (i, j) else 0) for k in range(n + 1)]
+               for r in range(n + 1)]
+    pulled = [linear_substitute(p, inverse) for p in comps]
+    pulled[i] = pulled[i] + pulled[j] * c
+    return n, pulled, [linear_substitute(f, inverse) for f in forms]
+
+
+@given(instance_parts())
+@settings(max_examples=60, deadline=None)
+def test_no_restriction_of_a_valid_instance_is_invalid(parts):
+    # Tangency puts Sing(F|S) = Sing(F) ∩ S, which is finite, and a
+    # vanishing or radial restriction would make S singular for F; so
+    # once the Instance is valid, no restriction raises.
+    n, comps, forms = parts
+    try:
+        inst = Instance(Foliation(comps), Arrangement(n, forms))
+    except InputError:
+        assume(False)
+    for size in range(1, min(len(forms), n - 1) + 1):
+        for subset in combinations(range(len(forms)), size):
+            restricted, stratum = inst.restriction(subset)
+            assert restricted.n == stratum.dim == n - size

@@ -1,6 +1,8 @@
 import itertools
 import random
+import sys
 from fractions import Fraction
+from math import comb
 
 import pytest
 from hypothesis import given, settings
@@ -17,6 +19,7 @@ from logfol.groebner import (
     ideal_quotient,
     intersect,
     normal_form,
+    projective_degree,
     quotient_dimension,
     saturate,
     staircase,
@@ -31,6 +34,7 @@ from oracles import (
     brute_contains,
     brute_quotient_dimension,
     linear_substitute,
+    monomials_upto,
     reference_divide,
 )
 
@@ -403,6 +407,92 @@ def test_supported_length_divides_each_outside_monomial_once(monkeypatch):
 def test_supported_length_needs_a_finite_staircase():
     with pytest.raises(ValueError):
         supported_lengths(ideal(["x"]), [[poly("y")]])
+
+
+# ------------------------------------------------------- projective degree
+
+
+def hilbert_value(numerator, nvars, degree):
+    """Coefficient of t^degree in N(t) / (1 - t)^nvars."""
+    return sum(c * comb(degree - k + nvars - 1, nvars - 1)
+               for k, c in enumerate(numerator) if k <= degree)
+
+
+def standard_count(gens, nvars, degree):
+    """Monomials of the given degree outside the monomial ideal, counted."""
+    return sum(1 for m in monomials_upto(nvars, degree) if sum(m) == degree
+               and not any(all(a <= b for a, b in zip(g, m)) for g in gens))
+
+
+@st.composite
+def monomial_ideals(draw):
+    nvars = draw(st.integers(1, 4))
+    exponents = st.tuples(*[st.integers(0, 3)] * nvars)
+    return nvars, draw(st.lists(exponents, max_size=6))
+
+
+@given(monomial_ideals())
+@settings(max_examples=200, deadline=None)
+def test_hilbert_numerator_counts_standard_monomials(case):
+    # random monomial ideals of every Krull dimension, the zero ideal, the
+    # unit ideal and redundant generators included
+    nvars, gens = case
+    numerator = groebner._hilbert_numerator(gens, nvars)
+    for degree in range(10):
+        assert hilbert_value(numerator, nvars, degree) == \
+            standard_count(gens, nvars, degree)
+
+
+@pytest.mark.parametrize("gens,nvars,numerator", [
+    ([], 3, [1]),                                           # dim 3: N(1) = 1 at once
+    ([(0, 0, 0)], 2, [0]),                                  # the unit ideal
+    ([(2, 0, 0)], 3, [1, 0, -1]),                           # dim 2
+    ([(2, 0, 0), (0, 2, 0)], 3, [1, 0, -2, 0, 1]),          # (1-t^2)^2, dim 1
+    ([(2, 0, 0), (1, 1, 0), (0, 2, 0)], 3, [1, 0, -3, 2]),  # (x, y)^2, dim 1
+    ([(1, 0), (0, 3)], 2, [1, -1, 0, -1, 1]),               # dim 0
+])
+def test_hilbert_numerator_examples(gens, nvars, numerator):
+    got = groebner._hilbert_numerator(gens, nvars)
+    assert got + [0] * (len(numerator) - len(got)) == \
+        numerator + [0] * (len(got) - len(numerator))
+
+
+@pytest.mark.parametrize("degree,expected", [(20, [1, 210, 0]), (45, [1, 1035, 0])])
+def test_hilbert_numerator_needs_no_recursion(degree, expected):
+    # every monomial of one degree in x, y, z: 231 for degree 20, and 1,081
+    # for degree 45, more than the default recursion limit
+    gens = [m for m in monomials_upto(3, degree) if sum(m) == degree]
+    assert sys.getrecursionlimit() <= 1000
+    numerator = groebner._hilbert_numerator(gens, 3)
+    assert [hilbert_value(numerator, 3, d) for d in (0, degree - 1, degree)] == expected
+
+
+@pytest.mark.parametrize("texts,names,expected", [
+    ([], ["x"], 1),                                  # P^0 is one point
+    ([], XYZ, INFINITE),                             # all of P^2
+    (["1"], XYZ, 0),                                 # the unit ideal
+    (["x - y", "y - z", "x + z"], XYZ, 0),           # irrelevant: the empty scheme
+    (["x^2", "y^2", "z^2"], XYZ, 0),
+    (["x"], XY, 1),
+    (["x^2"], XY, 2),
+    (["x^2*y - x*y^2"], XY, 3),
+    (["x", "y"], XYZ, 1),
+    (["x^2", "y^2"], XYZ, 4),                        # two (1-t) factors cancel
+    (["x^2", "x*y", "y^3"], XYZ, 4),
+    (["x*y", "y*z", "x*z"], XYZ, 3),                 # the coordinate points
+    (["x^2 - y^2", "y^2 - z^2"], XYZ, 4),
+    (["x*z - y^2", "x + y + z"], XYZ, 2),            # conic meets line
+    (["x*z - y^2"], XYZ, INFINITE),                  # a conic
+    (["x^2", "x*y"], XYZ, INFINITE),                 # a line with an embedded point
+    (["x*y*z"], XYZ, INFINITE),
+])
+def test_projective_degree_examples(texts, names, expected):
+    assert projective_degree(ideal(texts, names)) == expected
+
+
+def test_projective_degree_needs_a_homogeneous_ideal():
+    with pytest.raises(ValueError):
+        projective_degree(ideal(["x^2 - y"]))
 
 
 # -------------------------------------------------------------- hypothesis

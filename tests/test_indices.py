@@ -1,11 +1,13 @@
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
+from types import SimpleNamespace
 
 import pytest
+from hypothesis import assume, given, settings
 
 from logfol.errors import NOT_LOGARITHMIC, InputError
 from logfol.foliations import Arrangement, Foliation, Instance
-from logfol.groebner import Ideal, buchberger
+from logfol.groebner import INFINITE, Ideal, buchberger, projective_degree
 from logfol.indices import (
     RationalPoint,
     complement_milnor_sum,
@@ -24,7 +26,7 @@ from logfol.indices import (
 from logfol.linalg import mat_mul
 from logfol.polynomials import MultiPoly, parse_polynomial
 
-from oracles import linear_substitute, milnor_oracle
+from oracles import chart_total_milnor, linear_substitute, lotka_volterra_fields, milnor_oracle
 
 P2 = ["z0", "z1", "z2"]
 XY = ["x", "y"]
@@ -231,6 +233,37 @@ def test_empty_arrangement_reduces_to_total_milnor():
     empty = Instance(f, Arrangement(2, []))
     assert verify_instance(empty).rhs_total == total_milnor(f) == 7
     assert complement_milnor_sum(empty) == 7
+
+
+@given(lotka_volterra_fields([(2, 2), (2, 3), (3, 2)]))
+@settings(max_examples=40, deadline=None)
+def test_total_milnor_matches_the_chart_sum(case):
+    # the homogeneous route against the chart route, on the ambient field
+    # and on every restriction of dimension >= 1
+    n, comps = case
+    forms = [MultiPoly.variable(n + 1, i) for i in range(n + 1)]
+    try:
+        inst = Instance(Foliation(comps), Arrangement(n, forms))
+    except InputError:
+        assume(False)
+    for size in range(n):
+        for subset in combinations(range(n + 1), size):
+            restricted = inst.restriction(subset)[0]
+            assert total_milnor(restricted) == chart_total_milnor(restricted)
+
+
+@given(lotka_volterra_fields([(2, 1), (2, 2), (3, 1)]))
+@settings(max_examples=30, deadline=None)
+def test_fields_singular_along_a_hyperplane_have_no_degree(case):
+    # z0 times a field, as invalid documents are made: singular on {z0 = 0}
+    n, comps = case
+    z = [MultiPoly.variable(n + 1, i) for i in range(n + 1)]
+    comps = [z[0] * p for p in comps]
+    minors = [z[a] * comps[b] - z[b] * comps[a] for a, b in combinations(range(n + 1), 2)]
+    assert projective_degree(buchberger(minors, n + 1)) == INFINITE
+    # total_milnor reads only n and the components
+    with pytest.raises(ValueError):
+        total_milnor(SimpleNamespace(n=n, components=tuple(comps)))
 
 
 def test_dropping_a_far_hyperplane_keeps_log():

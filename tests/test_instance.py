@@ -89,16 +89,30 @@ def test_cli_builds_each_object_once(tmp_path, monkeypatch, capsys, command):
     ambient = tuple(polys(README_TRIANGLE["foliation"]))
     assert built[ambient] == 1
     assert max(built.values()) == 1
-    # each foliation computes each distinct chart basis once
-    assert sum(bases.values()) == sum(len(chart_ideals(f)) for f in fols)
     # each stratum restriction is built at most once
     assert all(count == 1 for count in restricted.values())
     if command[0] == "verify":
         # every stratum of dimension >= 1, the ambient one included
         assert set(restricted) == {(), (0,), (1,), (2,)}
+        # Each foliation builds its chart-0 basis to validate (the other
+        # charts share that ideal, so there is no piece basis) and one
+        # homogeneous basis of its minors for the total.  The restrictions
+        # to z0 = 0 and to z1 = 0 (= z2 = 0) are two distinct foliations
+        # with the same chart-0 ideal and the same minor, so each of those
+        # bases is built once per foliation; no foliation builds one twice.
+        assert len(fols) == 3
+        x, z = ["x0", "x1"], ["z0", "z1", "z2"]
+        assert bases == Counter({
+            (2, frozenset(polys(["x0^2 - x0", "x1^2 - x1"], x)), "grevlex"): 1,
+            (3, frozenset(polys(["z0*z1*(z1 - z0)", "z0*z2*(z2 - z0)",
+                                 "z1*z2*(z2 - z1)"], z)), "grevlex"): 1,
+            (1, frozenset(polys(["x0^2 - x0"], x[:1])), "grevlex"): 2,
+            (2, frozenset(polys(["x0*x1*(x1 - x0)"], x)), "grevlex"): 2,
+        })
     else:
         # nothing is restricted, and the three chart ideals coincide
         assert not restricted
+        assert sum(bases.values()) == sum(len(chart_ideals(f)) for f in fols)
         assert list(bases.values()) == [1]
 
 
