@@ -30,9 +30,10 @@ import argparse
 import json
 import sys
 from dataclasses import dataclass
+from math import comb
 
 from .chern import SIGMA_CONVENTION_NOTE, closed_form_sigma, lhs_integral
-from .errors import SYNTAX_ERROR, InputError
+from .errors import INPUT_TOO_LARGE, SYNTAX_ERROR, InputError
 from .foliations import Arrangement, Foliation, Instance, ambient_names
 from .indices import (
     RationalPoint,
@@ -70,6 +71,19 @@ class _JsonNumber:
 
     def __str__(self):
         return self.text
+
+
+# Limits on the work a document's shape implies, checked before any
+# algebra: the dimension n, the strata the stratified sum visits,
+# sum_{s<=n} C(k, s) for k hyperplanes, and the Bezout bound
+# sum_{i<=n} d^i on the singular points of a degree-d foliation, which
+# sizes its chart bases.  The tests and the benchmark stay at or below
+# n = 4, 31 strata and 40 points.  The dimension has its own limit
+# because a linear field has only n+1 points but needs bases in n+1
+# variables.
+MAX_DIMENSION = 16
+MAX_STRATA = 255
+MAX_BEZOUT = 255
 
 
 def _fail(message: str) -> InputError:
@@ -119,6 +133,8 @@ def parse_spec(text: str) -> ProblemSpec:
     if not isinstance(raw_comps, list) or len(raw_comps) != n + 1:
         raise _fail(f"field 'foliation': expected a list of {n + 1} "
                     "polynomial strings")
+    if n > MAX_DIMENSION:
+        raise InputError(INPUT_TOO_LARGE, f"dimension {n} above {MAX_DIMENSION}")
     names = ambient_names(n)
     components = _parse_polynomials("foliation", raw_comps, names)
 
@@ -143,6 +159,14 @@ def parse_spec(text: str) -> ProblemSpec:
             points.append(RationalPoint.parse(item))
         except (ValueError, TypeError, ZeroDivisionError) as exc:
             raise _fail(f"points[{i}]: {exc}") from None
+
+    k, d = len(forms), max(p.total_degree() for p in components)
+    if sum(comb(k, s) for s in range(n + 1)) > MAX_STRATA:
+        raise InputError(INPUT_TOO_LARGE,
+                         f"{k} hyperplanes on P^{n}: more than {MAX_STRATA} strata")
+    if sum(d ** i for i in range(n + 1)) > MAX_BEZOUT:
+        raise InputError(INPUT_TOO_LARGE, f"degree {d} on P^{n}: more than "
+                                          f"{MAX_BEZOUT} possible singular points")
 
     # every structural validation runs here, once; commands trust the instance
     instance = Instance(Foliation(components), Arrangement(n, forms))

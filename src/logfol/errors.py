@@ -11,6 +11,7 @@ DEGREE_MISMATCH = "DEGREE_MISMATCH"
 NC_VIOLATION = "NC_VIOLATION"
 NOT_LOGARITHMIC = "NOT_LOGARITHMIC"
 POSITIVE_DIM_SING = "POSITIVE_DIM_SING"
+INPUT_TOO_LARGE = "INPUT_TOO_LARGE"
 
 ALL_CODES = (
     SYNTAX_ERROR,
@@ -18,6 +19,7 @@ ALL_CODES = (
     NC_VIOLATION,
     NOT_LOGARITHMIC,
     POSITIVE_DIM_SING,
+    INPUT_TOO_LARGE,
 )
 
 

@@ -133,6 +133,32 @@ class Foliation:
         self._fields[j] = tuple(comps)
         return self._fields[j]
 
+    def hyperplane_chart(self, form: MultiPoly) -> tuple:
+        """(singular ideal, images of z_0..z_n) in the affine chart {form = 1}.
+
+        With the form scaled so that its first nonzero coefficient, at z_p,
+        is 1, the chart coordinates are the other z_k in order, and z_p is
+        1 - sum c_k z_k over them.  Where form(z) = 1, P is proportional to
+        z exactly when P_i = z_i form(P) for every i != p (the p-th equation
+        follows), so the field is (P_i - z_i form(P)), which the radial term
+        leaves alone.  For form = z_j it is chart j's field, and a chart
+        with the generators of a cached ideal shares its basis.
+        """
+        coeffs = _form_vector(form)
+        p = next(k for k, c in enumerate(coeffs) if c)
+        coeffs = [c / coeffs[p] for c in coeffs]
+        x = [MultiPoly.variable(self.n, i) for i in range(self.n)]
+        images = x[:p] + [MultiPoly.constant(self.n, 1)] + x[p:]
+        for k, c in enumerate(coeffs):
+            if k != p and c:
+                images[p] = images[p] - images[k] * c
+        local = [q.compose(images) for q in self.components]
+        along = sum((local[k] * c for k, c in enumerate(coeffs) if c),
+                    MultiPoly.zero(self.n))
+        gens = [local[i] - images[i] * along for i in range(self.n + 1) if i != p]
+        gens = [g for g in gens if not g.is_zero()]
+        return self._shared_ideal(gens) or buchberger(gens, self.n), images
+
     def _shared_ideal(self, gens: list):
         """A cached ideal with exactly these generators, or None."""
         return next((ideal for ideal in self._ideals.values()

@@ -16,12 +16,13 @@ counted with full multiplicity.  The total Milnor number of a foliation
 is the degree of the projective scheme cut out by the 2x2 minors of
 (z; P), read off the Hilbert series of one homogeneous basis
 (`projective_degree`); the test suite checks it against the sum over
-the charts.  The total off the divisor is summed over the charts: each
-contributes the length of its singular scheme on the vanishing of the
-earlier chart coordinates and off the hyperplanes, read off the
-multiplication matrices of the chart's quotient ring
-(`supported_lengths`).  `chern_input` is the one place that decides
-the divisor degrees the Chern side sees.
+the charts.  The total off the divisor needs one chart: the complement
+of the divisor lies in the affine chart {f = 1} of its first hyperplane
+f, so the total is the length of the singular scheme there minus its
+part on the other hyperplanes, read off the multiplication matrices of
+the chart's quotient ring (`supported_lengths`); the test suite checks
+it against the sum over all charts.  `chern_input` is the one place that
+decides the divisor degrees the Chern side sees.
 """
 
 from __future__ import annotations
@@ -196,11 +197,6 @@ def _alternating_sum(through: Sequence[int], n: int, milnor) -> int:
 
 # ------------------------------------------------------------- global sums
 
-def _overlap_vars(n: int, j: int) -> list:
-    # chart-j coordinates covering the ambient variables z_0..z_{j-1}
-    return [MultiPoly.variable(n, i) for i in range(j)]
-
-
 def total_milnor(fol: Foliation) -> int:
     """Sum of all Milnor numbers of the foliation, multiplicity included.
 
@@ -223,22 +219,20 @@ def total_milnor(fol: Foliation) -> int:
 def complement_milnor_sum(inst: Instance) -> int:
     """Total Milnor number of the singularities off the arrangement.
 
-    Chart j contributes its length on the chart's own locus minus the
-    part of that which also lies on some hyperplane.  The two lengths
-    share the staircase, the normal forms and the row spaces of the
-    overlap coordinates; only the product of the forms adds rows.
+    Every point off the divisor lies in the affine chart {f = 1} of the
+    first hyperplane f, so the total is the length of the singular
+    scheme in that one chart minus its part on the other hyperplanes.
+    When f is z_0, the chart's basis is the one `Foliation` validation
+    cached.  With no hyperplane the total is `total_milnor`.
     """
-    n = inst.fol.n
-    total = 0
-    for j in range(n + 1):
-        ideal = inst.fol.singular_ideal(j)
-        product = MultiPoly.constant(n, 1)
-        for f in inst.arr.forms:
-            product = product * f.dehomogenize(j)
-        overlap = _overlap_vars(n, j)
-        on, on_divisor = supported_lengths(ideal, [overlap, overlap + [product]])
-        total += on - on_divisor
-    return total
+    forms = inst.arr.forms
+    if not forms:
+        return total_milnor(inst.fol)
+    ideal, images = inst.fol.hyperplane_chart(forms[0])
+    product = MultiPoly.constant(inst.fol.n, 1)
+    for f in forms[1:]:
+        product = product * f.compose(images)
+    return quotient_dimension(ideal) - supported_lengths(ideal, [[product]])[0]
 
 
 @dataclass(frozen=True)

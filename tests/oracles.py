@@ -15,7 +15,10 @@ compare monomial orders.  `all_charts_check` is the isolated-singularity
 check with a full basis in every chart, which `Foliation` replaced by a
 stratified cover, and `chart_total_milnor` is the global Milnor total
 summed over the charts, which `indices.total_milnor` replaced by the
-degree of one homogeneous scheme.  `lotka_volterra_fields` draws the
+degree of one homogeneous scheme; `chart_complement_milnor_sum` is the
+total off the arrangement summed over the charts, which
+`indices.complement_milnor_sum` replaced by one chart of the first
+hyperplane.  `lotka_volterra_fields` draws the
 random fields of the benchmark's shapes for Hypothesis.
 """
 
@@ -151,6 +154,26 @@ def chart_total_milnor(fol) -> int:
     return sum(supported_lengths(fol.singular_ideal(j),
                                  [[MultiPoly.variable(n, i) for i in range(j)]])[0]
                for j in range(n + 1))
+
+
+def chart_complement_milnor_sum(inst) -> int:
+    """Sum of the Milnor numbers off the arrangement, one chart at a time.
+
+    Chart j contributes its length on the vanishing of the earlier
+    coordinates minus the part of that which also lies on some
+    hyperplane; the two lengths share one call of `supported_lengths`.
+    """
+    n = inst.fol.n
+    total = 0
+    for j in range(n + 1):
+        product = MultiPoly.constant(n, 1)
+        for f in inst.arr.forms:
+            product = product * f.dehomogenize(j)
+        overlap = [MultiPoly.variable(n, i) for i in range(j)]
+        on, on_divisor = supported_lengths(inst.fol.singular_ideal(j),
+                                           [overlap, overlap + [product]])
+        total += on - on_divisor
+    return total
 
 
 @st.composite

@@ -3,11 +3,12 @@ import os
 import subprocess
 import sys
 from fractions import Fraction
+from math import comb
 from pathlib import Path
 
 import pytest
 
-from logfol.cli import main, parse_spec
+from logfol.cli import MAX_BEZOUT, MAX_DIMENSION, MAX_STRATA, main, parse_spec
 from logfol.errors import InputError
 from logfol.indices import RationalPoint
 from logfol.polynomials import MAX_COEFFICIENT_BITS, MAX_DEGREE, MAX_TERMS
@@ -150,6 +151,33 @@ def test_validation_errors_exit_two(tmp_path, capsys, doc, code):
     assert main(["verify", path]) == 2
     err = capsys.readouterr().err
     assert err.startswith(f"error {code}:")
+
+
+LIMITS = {"dimension": MAX_DIMENSION, "strata": MAX_STRATA, "bezout": MAX_BEZOUT}
+
+
+@pytest.mark.parametrize("limit,n,degree,k,value", [
+    ("dimension", MAX_DIMENSION, 1, 0, MAX_DIMENSION),
+    ("dimension", MAX_DIMENSION + 1, 1, 0, MAX_DIMENSION + 1),
+    ("strata", 1, 1, MAX_STRATA - 1, MAX_STRATA),
+    ("strata", 1, 1, MAX_STRATA, MAX_STRATA + 1),
+    ("bezout", 7, 2, 0, MAX_BEZOUT),
+    # no document has the Bezout bound 256: the least above 255 is P^3 at degree 6
+    ("bezout", 3, 6, 0, 259),
+])
+def test_shape_limits_are_inclusive(tmp_path, capsys, limit, n, degree, k, value):
+    assert value == {"dimension": n, "strata": sum(comb(k, s) for s in range(n + 1)),
+                     "bezout": sum(degree ** i for i in range(n + 1))}[limit]
+    # a radial field: once past the shape checks, Foliation refuses it at once
+    doc = {"n": n, "foliation": [f"z{i}*z0^{degree - 1}" for i in range(n + 1)],
+           "hyperplanes": [f"z0 + {i}*z1" for i in range(k)]}
+    assert main(["verify", write_doc(tmp_path, doc)]) == 2
+    err = capsys.readouterr().err
+    if value > LIMITS[limit]:
+        assert err.startswith("error INPUT_TOO_LARGE:")
+        assert f" {LIMITS[limit]}" in err
+    else:
+        assert err.startswith("error POSITIVE_DIM_SING: radial representative")
 
 
 def test_deep_nesting_exits_two(tmp_path, capsys):

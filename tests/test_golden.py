@@ -2,12 +2,14 @@
 
 The files under tests/golden/ hold the exact standard output of
 ``logfol --report {json,text} <command> <problem>.json``: every command
-on the README triangle, ``verify`` on a P^3 instance whose hyperplanes
-are not coordinate hyperplanes, so that its strata are parametrized by a
-non-trivial choice of free coordinates, and ``verify`` on a
-Lotka-Volterra field on P^4 with its five coordinate hyperplanes, whose
-31 strata exercise the global totals on a larger instance.  Any change
-to a report, however small, fails here.
+on the README triangle, ``verify`` and ``count-complement`` on a P^3
+instance whose hyperplanes are not coordinate hyperplanes, so that its
+strata are parametrized by a non-trivial choice of free coordinates and
+the complement is counted in the chart of the form z1 + z2, and
+``verify`` and ``count-complement`` on a Lotka-Volterra field on P^4
+with its five coordinate hyperplanes, whose 31 strata exercise the
+global totals on a larger instance.  Any change to a report, however
+small, fails here.
 """
 
 import json
@@ -49,6 +51,8 @@ COMMANDS = {
     "chern-check-sigma": (README_TRIANGLE, ["chern", "{path}", "--check-sigma"]),
     "indices": (README_TRIANGLE, ["indices", "{path}", "--point", "0,1,1"]),
     "count-complement": (README_TRIANGLE, ["count-complement", "{path}"]),
+    "count-complement-p3-sheared": (P3_SHEARED, ["count-complement", "{path}"]),
+    "count-complement-p4-lv": (P4_LOTKA_VOLTERRA, ["count-complement", "{path}"]),
     "verify-p3-sheared": (P3_SHEARED, ["verify", "{path}", "--check-sigma"]),
     "verify-p4-lv": (P4_LOTKA_VOLTERRA, ["verify", "{path}", "--check-sigma"]),
 }

@@ -4,6 +4,7 @@ from types import SimpleNamespace
 
 import pytest
 from hypothesis import assume, given, settings
+from hypothesis import strategies as st
 
 from logfol.errors import NOT_LOGARITHMIC, InputError
 from logfol.foliations import Arrangement, Foliation, Instance
@@ -26,7 +27,13 @@ from logfol.indices import (
 from logfol.linalg import mat_mul
 from logfol.polynomials import MultiPoly, parse_polynomial
 
-from oracles import chart_total_milnor, linear_substitute, lotka_volterra_fields, milnor_oracle
+from oracles import (
+    chart_complement_milnor_sum,
+    chart_total_milnor,
+    linear_substitute,
+    lotka_volterra_fields,
+    milnor_oracle,
+)
 
 P2 = ["z0", "z1", "z2"]
 XY = ["x", "y"]
@@ -250,6 +257,39 @@ def test_total_milnor_matches_the_chart_sum(case):
         for subset in combinations(range(n + 1), size):
             restricted = inst.restriction(subset)[0]
             assert total_milnor(restricted) == chart_total_milnor(restricted)
+
+
+@st.composite
+def complement_cases(draw):
+    """(n, components, forms): an LV field and an ordered subset of its
+    coordinate hyperplanes, the empty one included, often sheared.
+
+    The shear w_i = z_i + c z_j moves the field and the form z_i; i is the
+    first hyperplane's coordinate, so that hyperplane is often not one.
+    """
+    n, comps = draw(lotka_volterra_fields([(2, 2), (2, 3), (3, 2)]))
+    order = draw(st.permutations(range(n + 1)))
+    forms = [MultiPoly.variable(n + 1, i) for i in order[:draw(st.integers(0, n + 1))]]
+    i = order[0]
+    j = draw(st.sampled_from([k for k in range(n + 1) if k != i]))
+    c = draw(st.sampled_from((0, 1, -2, 3)))
+    inverse = [[int(r == k) - (c if (r, k) == (i, j) else 0) for k in range(n + 1)]
+               for r in range(n + 1)]
+    pulled = [linear_substitute(p, inverse) for p in comps]
+    pulled[i] = pulled[i] + pulled[j] * c
+    return n, pulled, [linear_substitute(f, inverse) for f in forms]
+
+
+@given(complement_cases())
+@settings(max_examples=40, deadline=None)
+def test_complement_sum_matches_the_chart_sum(case):
+    # the chart of the first hyperplane against the sum over all charts
+    n, comps, forms = case
+    try:
+        inst = Instance(Foliation(comps), Arrangement(n, forms))
+    except InputError:
+        assume(False)
+    assert complement_milnor_sum(inst) == chart_complement_milnor_sum(inst)
 
 
 @given(lotka_volterra_fields([(2, 1), (2, 2), (3, 1)]))

@@ -162,8 +162,8 @@ def test_each_subset_of_hyperplanes_is_rank_checked_once(monkeypatch):
 
 
 def test_count_complement_shares_row_spaces_per_chart(tmp_path, monkeypatch, capsys):
-    # charts 0, 1 and 2 have 1, 2 and 3 distinct multiplication matrices:
-    # the overlap coordinates and the product of the forms
+    # the complement lies in one chart, that of the first hyperplane z0,
+    # with one multiplication matrix: the product of the other forms
     path = tmp_path / "triangle.json"
     path.write_text(json.dumps(README_TRIANGLE))
     calls = []
@@ -176,4 +176,31 @@ def test_count_complement_shares_row_spaces_per_chart(tmp_path, monkeypatch, cap
     monkeypatch.setattr(linalg, "stable_row_space", stable_row_space)
     assert cli.main(["--report", "json", "count-complement", str(path)]) == 0
     capsys.readouterr()
-    assert len(calls) == 6
+    assert len(calls) == 1
+
+
+# the README triangle after w0 = z0 + z1: its first hyperplane z0 - z1 is
+# not a coordinate hyperplane
+SHEARED_TRIANGLE = {
+    "n": 2,
+    "foliation": ["z1*(2*z1 - z0)", "z1*(2*z1 - z0)", "z2*(z2 - z0 + z1)"],
+    "hyperplanes": ["z0 - z1", "z1", "z2"],
+}
+
+
+@pytest.mark.parametrize("doc,more", [(README_TRIANGLE, 0), (SHEARED_TRIANGLE, 1)],
+                         ids=["triangle", "sheared"])
+def test_count_complement_adds_a_basis_only_off_chart_0(monkeypatch, doc, more):
+    # validation caches the chart-0 basis; the chart of the first hyperplane
+    # reuses it when that hyperplane is z0 and builds one basis otherwise
+    spec = cli.parse_spec(json.dumps(doc))
+    calls = []
+
+    def reduced_groebner(*args):
+        calls.append(args)
+        return original(*args)
+
+    original = groebner._reduced_groebner
+    monkeypatch.setattr(groebner, "_reduced_groebner", reduced_groebner)
+    assert indices.complement_milnor_sum(spec.instance) == 1
+    assert len(calls) == more
